@@ -3,8 +3,10 @@
 Route (a) is the definitional ideal count: sum over signed n with
 t = (n + m√D̃)/(2D) in the inverse relative different, of local terms at the
 non-split spots over p. Route (b) is the closed product formula over primes
-dividing (m²D̃ − n²)/(4D), valid for squarefree m coprime to 2DD̃p. Whenever
-route (b) applies, the two are compared and a mismatch is a hard error.
+dividing (m²D̃ − n²)/(4D), valid for squarefree m coprime to 2DD̃p. Each
+route is one scan over n per m that yields every prime's value; the two
+share only the range of n and `factorize`. Whenever route (b) applies, the
+two are compared and a mismatch is a hard error.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from math import gcd, isqrt
 
 from .cmfield import CMFieldData, classify_in_reflex_cm, rho
 from .errors import InputError, InternalConsistencyError
-from .localdensity import LocalFactorInput, b_l_factor
+from .localdensity import b_l_factors
 from .logcombo import LogCombo
-from .numutil import is_prime, is_squarefree, ord_p, prime_factors
+from .numutil import factorize, is_prime, is_squarefree, ord_p, prime_factors
 from .quadfield import QuadElem, ord_at, splitting
-from .tmatrix import mu_candidates, t_matrix
+from .tmatrix import admissible_matrices
 
 
 @dataclass(frozen=True)
@@ -138,34 +140,47 @@ def bm_p_definition(field: CMFieldData, m: int, p: int) -> int:
     return dict(_route_a(field, m).totals).get(p, 0)
 
 
+@lru_cache(maxsize=4096)
+def _route_b(field: CMFieldData, m: int) -> tuple[tuple[int, int], ...]:
+    """One scan over n computing the product formula for every p ∤ m at once.
+
+    Needs m squarefree and coprime to 2DD̃. Every T contributes to each prime
+    p | quot through its local factor at l = p times the factors at the other
+    l | quot, so each factor is evaluated once per (T, l) as the pair
+    (value if l = p, value if l ≠ p).
+    """
+    fourD = 4 * field.D
+    m2dt = m * m * field.dtilde
+    totals: dict[int, int] = {}
+    for n in range(1, isqrt(m2dt - 1) + 1):
+        big_n = m2dt - n * n
+        if big_n % fourD:
+            continue
+        fac = factorize(big_n // fourD)
+        targets = [(p, e) for p, e in fac if m % p]
+        if not targets:
+            continue
+        for T in admissible_matrices(field, m, n):
+            at_p: dict[int, int] = {}
+            off_p: dict[int, int] = {}
+            for l, e in fac:
+                at_p[l], off_p[l] = b_l_factors(field, T, l, e - 2 * ord_p(m, l))
+            for p, e in targets:
+                term = at_p[p]
+                for l, v in off_p.items():
+                    if l != p:
+                        term *= v
+                totals[p] = totals.get(p, 0) + (e + 1) * term
+    return tuple(sorted(totals.items()))
+
+
 def bm_p_product(field: CMFieldData, m: int, p: int) -> int | None:
     """b_m(p) from the product formula; None when the guards fail."""
     if m < 1 or not is_prime(p):
         raise InputError("need m >= 1 and p prime")
     if not is_squarefree(m) or gcd(m, 2 * field.D * field.dtilde * p) != 1:
         return None
-    D, Dt = field.D, field.dtilde
-    fourD = 4 * D
-    total = 0
-    for n in range(1, isqrt(m * m * Dt - 1) + 1):
-        big_n = m * m * Dt - n * n
-        if big_n % fourD:
-            continue
-        quot = big_n // fourD
-        if quot % p:
-            continue
-        mu_sum = 0
-        for mu in mu_candidates(field, m, n):
-            T = t_matrix(field, m, n, mu)
-            prod = 1
-            for l in prime_factors(quot):
-                t_l = ord_p(quot, l) - 2 * ord_p(m, l)
-                prod *= b_l_factor(LocalFactorInput(field, T, p, l, t_l))
-                if prod == 0:
-                    break
-            mu_sum += prod
-        total += (ord_p(quot, p) + 1) * mu_sum
-    return total
+    return dict(_route_b(field, m)).get(p, 0)
 
 
 @lru_cache(maxsize=4096)

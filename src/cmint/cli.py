@@ -27,7 +27,7 @@ _RANGE = re.compile(r"^(\d+)(?:-(\d+))?$")
 
 
 def parse_m_values(text: str) -> list[int]:
-    vals: list[int] = []
+    vals: dict[int, None] = {}  # ordered set: the first occurrence keeps its place
     for part in text.split(","):
         mobj = _RANGE.match(part.strip())
         if not mobj:
@@ -36,10 +36,8 @@ def parse_m_values(text: str) -> list[int]:
         hi = int(mobj.group(2)) if mobj.group(2) else lo
         if lo < 1 or hi < lo:
             raise InputError(f"bad m specification: {part.strip()!r}")
-        for m in range(lo, hi + 1):
-            if m not in vals:
-                vals.append(m)
-    return vals
+        vals.update(dict.fromkeys(range(lo, hi + 1)))
+    return list(vals)
 
 
 def load_field(path: str, mode_override: str | None = None) -> CMFieldData:

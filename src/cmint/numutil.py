@@ -6,30 +6,93 @@ import random
 from functools import lru_cache
 from math import gcd, isqrt
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# ψ_k (OEIS A014233): the least odd composite that is a strong pseudoprime to
+# each of the first k prime bases, so Miller–Rabin with those bases is exact
+# below it. ψ_7 = ψ_8 and ψ_9 = ψ_10 = ψ_11, hence the gaps.
+_PSI = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
+
+
+def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
+    """Miller–Rabin round for the odd n with n − 1 = d·2^s."""
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, for odd n > 41."""
+    from .padic import kronecker  # padic imports this module
+
+    if isqrt(n) ** 2 == n:
+        return False  # no D with (D|n) = −1 exists
+    dd = 5
+    while (j := kronecker(dd, n)) != -1:
+        if j == 0:
+            return False  # gcd(D, n) > 1 and |D| < n
+        dd = -dd - 2 if dd > 0 else -dd + 2
+    p, q = 1, (1 - dd) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(v: int) -> int:
+        return (v + n if v % 2 else v) // 2 % n
+
+    u, v, qk = 1, p, q % n  # U_1, V_1, Q^1
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(p * u + v), half(dd * u + p * v), qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def is_prime(n: int) -> bool:
+    """Primality, exact for every n < ψ_13 ≈ 3.3·10²⁴.
+
+    Below ψ_13 it runs Miller–Rabin with the shortest prefix of the first 13
+    prime bases that is deterministic for n. From ψ_13 on, all 13 rounds are
+    followed by a strong Lucas test; the base-2 round and the Lucas test are
+    the Baillie–PSW test, which no known composite passes.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:
+        return True  # no prime factor up to 41
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    # deterministic for n < 3.3e24 with these bases
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    k = next((k for bound, k in _PSI if n < bound), len(_MR_BASES))
+    if not all(_strong_probable_prime(n, a, d, s) for a in _MR_BASES[:k]):
+        return False
+    return n < _PSI[-1][0] or _strong_lucas_probable_prime(n)
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:

@@ -46,26 +46,30 @@ def t_matrix(field: CMFieldData, m: int, n: int, mu: int) -> TMatrix | None:
         raise InputError("need 0 < n < m·√D̃")
     if (m * m * field.dtilde - n * n) % field.D:
         raise InputError("need D | m²·D̃ − n²")
-    D = field.D
-    d0 = Fraction(field.delta.x, field.delta.den)
-    d1 = Fraction(field.delta.y, field.delta.den)
-    n1 = Fraction(n, m)
-    c = (2 * mu * n1 - 2 * d0) / D
-    b = -d1 - D * c / 2
-    a = -mu * n1 - D * b - Fraction(D * D - D, 4) * c
+    D, x, y, den = field.D, field.delta.x, field.delta.y, field.delta.den
+    # numerators of c, b, a over the common denominator q = 4·D·m·den
+    q = 4 * D * m * den
+    s = mu * n * den - x * m
+    c = 8 * s
+    b = 4 * D * (-y * m - s)
+    a = -4 * D * den * mu * n - D * b - 2 * D * (D - 1) * s
     if a <= 0:
         return None
-    if any((m * v).denominator != 1 for v in (a, b, c)):
+    if any((m * v) % q for v in (a, b, c)):
         return None
-    T = TMatrix(a, b, c, m, n, mu)
-    if T.det != Fraction(m * m * field.dtilde - n * n, D * m * m):
+    if (a * c - b * b) * D * m * m != (m * m * field.dtilde - n * n) * q * q:
         raise InternalConsistencyError("determinant identity failed")
-    return T
+    return TMatrix(Fraction(a, q), Fraction(b, q), Fraction(c, q), m, n, mu)
 
 
-def mu_candidates(field: CMFieldData, m: int, n: int) -> tuple[int, ...]:
-    """The admissible signs for (m, n): (1, -1) when D | n, one sign otherwise."""
-    ok = tuple(mu for mu in (1, -1) if t_matrix(field, m, n, mu) is not None)
+def admissible_matrices(field: CMFieldData, m: int, n: int) -> tuple[TMatrix, ...]:
+    """The matrices of the admissible signs for (m, n), μ = 1 first.
+
+    Both signs are admissible when D | n and exactly one otherwise; a
+    violation of that rule is an internal error.
+    """
+    mats = tuple(T for mu in (1, -1) if (T := t_matrix(field, m, n, mu)) is not None)
+    ok = tuple(T.mu for T in mats)
     if n % field.D == 0:
         if ok != (1, -1):
             raise InternalConsistencyError(
@@ -75,4 +79,9 @@ def mu_candidates(field: CMFieldData, m: int, n: int) -> tuple[int, ...]:
         raise InternalConsistencyError(
             f"exactly one sign must be admissible when D ∤ n; got {ok} for (m={m}, n={n})"
         )
-    return ok
+    return mats
+
+
+def mu_candidates(field: CMFieldData, m: int, n: int) -> tuple[int, ...]:
+    """The admissible signs for (m, n): (1, -1) when D | n, one sign otherwise."""
+    return tuple(T.mu for T in admissible_matrices(field, m, n))

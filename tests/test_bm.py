@@ -15,9 +15,11 @@ from cmint.bm import (
 )
 from cmint.cmfield import build_cm_field
 from cmint.errors import InputError
-from cmint.numutil import is_prime, is_squarefree, prime_factors
+from cmint.localdensity import LocalFactorInput, b_l_factor
+from cmint.numutil import is_prime, is_squarefree, ord_p, prime_factors
 from cmint.quadfield import QuadElem, QuadField
 from cmint.selfcheck import enumerate_fields, sample_vanishing_fields
+from cmint.tmatrix import mu_candidates, t_matrix
 
 F5 = QuadField(5)
 
@@ -87,6 +89,49 @@ def test_deep_product_cases_agree():
     f61 = build_cm_field(5, QuadElem(F5, -9, 2, 1))
     rep = bm_report(f61, 3)  # Q = 27 at n = 3: inert case with t = 1
     assert all(e.route_b in (None, e.route_a) for e in rep.entries)
+
+
+def per_p_product(field, m, p):
+    """b_m(p) by the product formula, rescanning every n for the one prime p."""
+    m2dt = m * m * field.dtilde
+    total = 0
+    for n in range(1, isqrt(m2dt - 1) + 1):
+        big_n = m2dt - n * n
+        if big_n % (4 * field.D):
+            continue
+        quot = big_n // (4 * field.D)
+        if quot % p:
+            continue
+        mu_sum = 0
+        for mu in mu_candidates(field, m, n):
+            T = t_matrix(field, m, n, mu)
+            prod = 1
+            for l in prime_factors(quot):
+                t_l = ord_p(quot, l) - 2 * ord_p(m, l)
+                prod *= b_l_factor(LocalFactorInput(field, T, p, l, t_l))
+            mu_sum += prod
+        total += (ord_p(quot, p) + 1) * mu_sum
+    return total
+
+
+def test_one_pass_route_matches_per_prime_loop():
+    strict = [f for D in (5, 13, 17) for f in enumerate_fields(D, 500, y_max=3, mode="strict")]
+    cases = [(f, m) for f in strict[::5] for m in range(1, 31)]
+    z = cyclotomic()
+    cases += [(z, 33), (z, 143), (build_cm_field(5, QuadElem(F5, -9, 2, 1)), 3)]
+    compared = nonzero = 0
+    for f, m in cases:
+        if not is_squarefree(m) or gcd(m, 2 * f.D * f.dtilde) != 1:
+            continue
+        for p in support_primes(f, m) + (101,):
+            if m % p == 0:
+                assert bm_p_product(f, m, p) is None
+                continue
+            want = per_p_product(f, m, p)
+            assert bm_p_product(f, m, p) == want, (f.D, f.delta, m, p)
+            compared += 1
+            nonzero += want != 0
+    assert compared >= 300 and nonzero >= 100
 
 
 def test_support_primes():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -49,6 +50,18 @@ def test_m_ranges(tmp_path, cache_dir, capsys):
     assert cli.run(["bm", "--field", field, "--m", "1-3,5", "--no-cache"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert [r["m"] for r in payload["reports"]] == [1, 2, 3, 5]
+
+
+def test_parse_m_values_first_occurrence_order():
+    assert cli.parse_m_values("3,1-4,2") == [3, 1, 2, 4]
+
+
+def test_parse_m_values_long_range_is_fast():
+    start = time.perf_counter()
+    vals = cli.parse_m_values("1-32000,5,31990-32005")
+    elapsed = time.perf_counter() - start
+    assert vals == list(range(1, 32006))
+    assert elapsed < 0.5, f"parsing took {elapsed:.2f}s"
 
 
 def test_intersect_exact_fractions(tmp_path, cache_dir, capsys):

@@ -1,19 +1,21 @@
-from math import isqrt
+import random
+from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
 
 from cmint.cmfield import build_cm_field
-from cmint.errors import InputError
+from cmint.errors import InputError, InternalConsistencyError
 from cmint.localdensity import (
     LocalFactorInput,
     alpha_l,
     b_l_factor,
     beta_l_factor,
 )
-from cmint.numutil import ord_p, prime_factors
+from cmint.numutil import ord_p, prime_factors, primes_up_to
 from cmint.padic import hilbert, kronecker
 from cmint.quadfield import QuadElem, QuadField
-from cmint.tmatrix import mu_candidates, t_matrix
+from cmint.tmatrix import TMatrix, mu_candidates, t_matrix
 
 F5 = QuadField(5)
 
@@ -37,6 +39,52 @@ def test_alpha_unit_classes():
     assert a3 % 3 != 0
     # regression: the deterministic search picks these representatives
     assert (a2, a5, a3) == (3, 3, 2)
+
+
+def box_alpha(T, l):
+    """The first unit value of the form over x, y mod l (mod 8 for l = 2)."""
+    d = lcm(*(v.denominator for v in T.entries))  # prime to l
+    a, b, c = (int(v * d) for v in T.entries)
+    box = 8 if l == 2 else l
+    for x in range(box):
+        for y in range(box):
+            if x % l == 0 and y % l == 0:
+                continue
+            q = a * x * x + 2 * b * x * y + c * y * y  # d times the value
+            if q % l:
+                return q * pow(d, -1, box) % box
+    return None
+
+
+def test_alpha_closed_form_matches_box_search():
+    rng = random.Random(1729)
+
+    def entry(l, unit):
+        # an l-integral rational that is an l-unit or not, as asked
+        if not unit and rng.random() < 0.2:
+            return Fraction(0)
+        num = rng.choice([1, -1]) * rng.randint(1, 60)
+        while num % l == 0:
+            num += 1
+        den = rng.randint(1, 12)
+        while den % l == 0:
+            den += 1
+        return Fraction(num * (1 if unit else l ** rng.randint(1, 3)), den)
+
+    seen = {"c": 0, "a": 0, "a+2b+c": 0, "none": 0}
+    for l in primes_up_to(101):
+        for _ in range(24):
+            ua, ub, uc = (rng.random() < 0.5 for _ in range(3))
+            T = TMatrix(entry(l, ua), entry(l, ub), entry(l, uc), 1, 1, 1)
+            want = box_alpha(T, l)
+            if want is None:
+                with pytest.raises(InternalConsistencyError):
+                    alpha_l(T, l)
+                seen["none"] += 1
+                continue
+            assert alpha_l(T, l) == want, (T.entries, l)
+            seen["c" if uc else "a" if ua else "a+2b+c"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_alpha_rejects():

@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from cmint.numutil import (
+    _strong_lucas_probable_prime,
     factorize,
     is_perfect_square,
     is_prime,
@@ -23,6 +26,40 @@ def test_is_prime_large():
     assert not is_prime(2**67 - 1)
     assert not is_prime(561)  # Carmichael
     assert not is_prime(3215031751)
+
+
+def test_is_prime_strong_pseudoprimes_to_prime_bases():
+    # ψ_12 = 399165290221 · 798330580441 passes Miller–Rabin to the bases 2..37
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(399165290221) and is_prime(798330580441)
+    # ψ_13 passes every base 2..41 and needs the strong Lucas test
+    assert not is_prime(3317044064679887385961981)
+    # the other ψ_k (OEIS A014233) on the way
+    for psi in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                3474749660383, 341550071728321, 3825123056546413051):
+        assert not is_prime(psi), psi
+
+
+def test_strong_lucas_pseudoprimes():
+    # the odd composites passing the strong Lucas test (OEIS A217255) below 25000
+    sieve = set(primes_up_to(25000))
+    passed = [n for n in range(43, 25000, 2) if _strong_lucas_probable_prime(n) and n not in sieve]
+    assert passed == [5459, 5777, 10877, 16109, 18971, 22499, 24569]
+    assert all(_strong_lucas_probable_prime(p) for p in sieve if p > 41)
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2026)
+    for _ in range(4000):
+        n = rng.randrange(1, 10 ** rng.randint(1, 30))
+        assert is_prime(n) == sympy.isprime(n), n
+    # above ψ_13 every prime must also pass the Lucas test
+    for _ in range(100):
+        q = sympy.nextprime(rng.randrange(10**25, 10**30))
+        assert is_prime(q), q
+        r = sympy.nextprime(rng.randrange(10**12, 10**15))
+        assert not is_prime(q * r), (q, r)
 
 
 def test_factorize_roundtrip():
