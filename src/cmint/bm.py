@@ -2,11 +2,14 @@
 
 Route (a) is the definitional ideal count: sum over signed n with
 t = (n + m√D̃)/(2D) in the inverse relative different, of local terms at the
-non-split spots over p. Route (b) is the closed product formula over primes
-dividing (m²D̃ − n²)/(4D), valid for squarefree m coprime to 2DD̃p. Each
-route is one scan over n per m that yields every prime's value; the two
-share only the range of n and `factorize`. Whenever route (b) applies, the
-two are compared and a mismatch is a hard error.
+non-split spots over p; it reads the spot valuations of n + m√D̃ off the
+factorization of (m²D̃ − n²)/(4D). Route (b) is the closed product formula
+over primes dividing (m²D̃ − n²)/(4D), valid for squarefree m coprime to
+2DD̃p. Each route is one scan over n per m that yields every prime's value,
+and every scan walks only the residue classes of n with 4D | m²D̃ − n²
+(`_admissible_n`); the two routes share only that range of n and
+`factorize`. Whenever route (b) applies, the two are compared and a mismatch
+is a hard error.
 """
 
 from __future__ import annotations
@@ -15,13 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from types import MappingProxyType
 
-from .cmfield import CMFieldData, classify_in_reflex_cm, rho
+from .cmfield import CMFieldData, classify_in_reflex_cm
 from .errors import InputError, InternalConsistencyError
 from .localdensity import b_l_factors
 from .logcombo import LogCombo
 from .numutil import factorize, is_prime, is_squarefree, ord_p, prime_factors
-from .quadfield import QuadElem, ord_at, splitting
+from .quadfield import PrimeSpot, QuadElem, ord_at, splitting
 from .tmatrix import admissible_matrices
 
 
@@ -50,59 +54,122 @@ class _RouteA:
     dyadic_relaxed: bool
 
 
-@lru_cache(maxsize=None)
-def _kind(field: CMFieldData, spot) -> str:
-    return classify_in_reflex_cm(field, spot)
+def _admissible_n(m2dt: int, div: int, lo: int, hi: int) -> list[int]:
+    """The n in [lo, hi], ascending, with div | m2dt − n².
+
+    Steps through the roots of n² ≡ m2dt (mod div); a range shorter than div
+    is filtered directly, so no more residues are tested than n in the range.
+    """
+    if hi - lo < div:
+        return [n for n in range(lo, hi + 1) if (m2dt - n * n) % div == 0]
+    roots = [r for r in range(div) if (m2dt - r * r) % div == 0]
+    return [
+        n
+        for base in range(lo - lo % div, hi + 1, div)
+        for n in (base + r for r in roots)
+        if lo <= n <= hi
+    ]
+
+
+def _split_ord(n: int, m: int, spot: PrimeSpot, vl: int, vm: int) -> int:
+    """ord of n + m√D̃ at a split spot over an odd l.
+
+    Needs vl = v_l(m²D̃ − n²) and vm = v_l(m). With g = min(v_l(n), vm) the
+    element is l^g times one outside l·O_F̃, which lies in at most one of the
+    two spots over l: the one whose residue of √D̃ (its label) makes
+    n/l^g + (m/l^g)·√D̃ vanish mod l. That spot takes the rest of vl.
+    """
+    l = spot.l
+    g = 0
+    if vm and n % l == 0:
+        g = vm if n == 0 else min(vm, ord_p(n, l))
+    q = l**g
+    return vl - g if (n // q + m // q * spot.label) % l == 0 else g
 
 
 @lru_cache(maxsize=4096)
 def _route_a(field: CMFieldData, m: int) -> _RouteA:
-    """One scan over signed n computing every prime's definitional terms."""
+    """One scan over signed n computing every prime's definitional terms.
+
+    The valuations of n + m√D̃ at the spots of F̃ are read off the
+    factorization of (m²D̃ − n²)/div that the other scans share; only split
+    spots over 2 need the element itself.
+    """
     D, Dt = field.D, field.dtilde
     Ft = field.reflex
     rel = dict(field.rel_diff)
     rel_primes = {s.l for s in rel}
     dyadic_relaxed = 2 in rel_primes
-    fourD = 4 * D
+    # membership forces 4D | m²D̃ − n² while the different is odd; only
+    # the D-part survives when a dyadic entry relaxes the constraint at 2
+    div = D if dyadic_relaxed else 4 * D
+    div_fac = factorize(div)
+    always = {2, D} | rel_primes
     m2dt = m * m * Dt
     nmax = isqrt(m2dt - 1)
+    # l -> (ord_l(m), [(spot over l, exponent of 𝔡⁻¹ minus that of 2D)])
+    at_l: dict[int, tuple[int, list[tuple[PrimeSpot, int]]]] = {}
+    kinds: dict[PrimeSpot, str] = {}  # spot -> its behaviour in K̃
     totals: dict[int, int] = {}
     per_n: list[tuple[int, int, int]] = []
     passing: dict[int, set[int]] = {}
-    for n in range(-nmax, nmax + 1):
-        big_n = m2dt - n * n
-        # membership forces 4D | m²D̃ − n² while the different is odd; only
-        # the D-part survives when a dyadic entry relaxes the constraint at 2
-        if big_n % (D if dyadic_relaxed else fourD):
-            continue
-        e = QuadElem(Ft, n, m, 1)
-        vec: dict = {}
+    for n in _admissible_n(m2dt, div, -nmax, nmax):
+        vals = dict(factorize((m2dt - n * n) // div))
+        for l, e in div_fac:
+            vals[l] = vals.get(l, 0) + e
+        vec: list[tuple[PrimeSpot, int]] = []
         ok = True
-        for l in sorted(set(prime_factors(big_n)) | {2, D} | rel_primes):
-            o2d = ord_p(2 * D, l)
-            for spot in splitting(Ft, l):
-                exp = ord_at(e, spot) - o2d * spot.e + rel.get(spot, 0)
+        for l in sorted(vals.keys() | always):
+            if l not in at_l:
+                o2d = ord_p(2 * D, l)
+                shifts = [(s, rel.get(s, 0) - o2d * s.e) for s in splitting(Ft, l)]
+                at_l[l] = (ord_p(m, l), shifts)
+            vm, shifts = at_l[l]
+            vl = vals.get(l, 0)
+            for spot, shift in shifts:
+                if spot.kind == "ramified":
+                    v = vl
+                elif spot.kind == "inert":
+                    if vl % 2:
+                        raise InternalConsistencyError("odd norm valuation at an inert spot")
+                    v = vl // 2
+                elif l == 2:
+                    v = ord_at(QuadElem(Ft, n, m, 1), spot) if vl else 0
+                else:
+                    v = _split_ord(n, m, spot, vl, vm)
+                exp = v + shift
                 if exp < 0:
                     ok = False
                     break
                 if exp:
-                    vec[spot] = exp
+                    vec.append((spot, exp))
             if not ok:
                 break
         if not ok:
             continue
         if n:
             passing.setdefault(abs(n), set()).add(1 if n > 0 else -1)
-        for spot, exp in vec.items():
-            if _kind(field, spot) == "split":
+        # ρ of the vector with one non-split spot's exponent lowered by one:
+        # the product of (e + 1) over split spots, 0 if an inert e is odd
+        split_prod, odd_inert = 1, 0
+        for spot, exp in vec:
+            kind = kinds.get(spot)
+            if kind is None:
+                kind = kinds[spot] = classify_in_reflex_cm(field, spot)
+            if kind == "split":
+                split_prod *= exp + 1
+            elif kind == "inert":
+                odd_inert += exp % 2
+        for spot, exp in vec:
+            kind = kinds[spot]
+            if kind == "split":
                 continue
-            ordt = exp - rel.get(spot, 0)
-            adj = dict(vec)
-            adj[spot] = exp - 1
-            r = rho(field, tuple(adj.items()))
-            if r == 0:
+            odd = odd_inert  # odd inert exponents once this one is lowered
+            if kind == "inert":
+                odd += -1 if exp % 2 else 1
+            if odd:
                 continue
-            term = (ordt + 1) * r * spot.f
+            term = (exp - rel.get(spot, 0) + 1) * split_prod * spot.f
             p = spot.l
             totals[p] = totals.get(p, 0) + term
             per_n.append((p, n, term))
@@ -119,17 +186,16 @@ def _route_a(field: CMFieldData, m: int) -> _RouteA:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def support_primes(field: CMFieldData, m: int) -> tuple[int, ...]:
     """Primes dividing (m²D̃ − n²)/(4D) for some 0 <= n < m√D̃."""
     if m < 1:
         raise InputError("need m >= 1")
-    D, Dt = field.D, field.dtilde
+    fourD = 4 * field.D
+    m2dt = m * m * field.dtilde
     out: set[int] = set()
-    for n in range(isqrt(m * m * Dt - 1) + 1):
-        big_n = m * m * Dt - n * n
-        if big_n % (4 * D) == 0:
-            out |= set(prime_factors(big_n // (4 * D)))
+    for n in _admissible_n(m2dt, fourD, 0, isqrt(m2dt - 1)):
+        out.update(prime_factors((m2dt - n * n) // fourD))
     return tuple(sorted(out))
 
 
@@ -141,7 +207,7 @@ def bm_p_definition(field: CMFieldData, m: int, p: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _route_b(field: CMFieldData, m: int) -> tuple[tuple[int, int], ...]:
+def _route_b(field: CMFieldData, m: int) -> MappingProxyType[int, int]:
     """One scan over n computing the product formula for every p ∤ m at once.
 
     Needs m squarefree and coprime to 2DD̃. Every T contributes to each prime
@@ -152,11 +218,8 @@ def _route_b(field: CMFieldData, m: int) -> tuple[tuple[int, int], ...]:
     fourD = 4 * field.D
     m2dt = m * m * field.dtilde
     totals: dict[int, int] = {}
-    for n in range(1, isqrt(m2dt - 1) + 1):
-        big_n = m2dt - n * n
-        if big_n % fourD:
-            continue
-        fac = factorize(big_n // fourD)
+    for n in _admissible_n(m2dt, fourD, 1, isqrt(m2dt - 1)):
+        fac = factorize((m2dt - n * n) // fourD)
         targets = [(p, e) for p, e in fac if m % p]
         if not targets:
             continue
@@ -171,7 +234,7 @@ def _route_b(field: CMFieldData, m: int) -> tuple[tuple[int, int], ...]:
                     if l != p:
                         term *= v
                 totals[p] = totals.get(p, 0) + (e + 1) * term
-    return tuple(sorted(totals.items()))
+    return MappingProxyType(totals)
 
 
 def bm_p_product(field: CMFieldData, m: int, p: int) -> int | None:
@@ -180,7 +243,7 @@ def bm_p_product(field: CMFieldData, m: int, p: int) -> int | None:
         raise InputError("need m >= 1 and p prime")
     if not is_squarefree(m) or gcd(m, 2 * field.D * field.dtilde * p) != 1:
         return None
-    return dict(_route_b(field, m)).get(p, 0)
+    return _route_b(field, m).get(p, 0)
 
 
 @lru_cache(maxsize=4096)
@@ -195,6 +258,9 @@ def bm_report(field: CMFieldData, m: int) -> BmReport:
             raise InternalConsistencyError(
                 f"nonzero multiplicity outside the support primes: {sorted(stray)}"
             )
+    by_prime: dict[int, list[tuple[int, int]]] = {}
+    for q, n, t in ra.per_n:
+        by_prime.setdefault(q, []).append((n, t))
     entries = []
     for p in support:
         a_val = totals.get(p, 0)
@@ -203,9 +269,7 @@ def bm_report(field: CMFieldData, m: int) -> BmReport:
             raise InternalConsistencyError(
                 f"route disagreement at p={p}, m={m}: {a_val} (definition) vs {b_val} (product)"
             )
-        entries.append(
-            BmEntry(p, a_val, a_val, b_val, tuple((n, t) for q, n, t in ra.per_n if q == p))
-        )
+        entries.append(BmEntry(p, a_val, a_val, b_val, tuple(by_prime.get(p, ()))))
     return BmReport(field, m, tuple(entries), ra.flags)
 
 

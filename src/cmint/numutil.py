@@ -129,7 +129,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             f += wheel[i]
             i = (i + 1) & 7
     if n > 1:
-        rng = random.Random(0xC0FFEE ^ n)
+        rng = None  # seeded on first use: most cofactors are prime
         stack = [n]
         while stack:
             v = stack.pop()
@@ -140,6 +140,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             elif isqrt(v) ** 2 == v:
                 stack += [isqrt(v)] * 2
             else:
+                if rng is None:
+                    rng = random.Random(0xC0FFEE ^ n)
                 d = _pollard_rho(v, rng)
                 stack += [d, v // d]
     return tuple(sorted(out.items()))

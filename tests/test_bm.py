@@ -4,7 +4,12 @@ from math import gcd, isqrt
 
 import pytest
 
+from cmint import bm
 from cmint.bm import (
+    _admissible_n,
+    _route_a,
+    _RouteA,
+    _split_ord,
     bm_full,
     bm_p_definition,
     bm_p_product,
@@ -13,11 +18,12 @@ from cmint.bm import (
     report_json_obj,
     support_primes,
 )
-from cmint.cmfield import build_cm_field
+from cmint.cmfield import build_cm_field, classify_in_reflex_cm, rho
 from cmint.errors import InputError
 from cmint.localdensity import LocalFactorInput, b_l_factor
-from cmint.numutil import is_prime, is_squarefree, ord_p, prime_factors
-from cmint.quadfield import QuadElem, QuadField
+from cmint.numutil import is_prime, is_squarefree, ord_p, prime_factors, primes_up_to
+from cmint.padic import hensel_sqrt
+from cmint.quadfield import QuadElem, QuadField, ord_at, splitting
 from cmint.selfcheck import enumerate_fields, sample_vanishing_fields
 from cmint.tmatrix import mu_candidates, t_matrix
 
@@ -189,3 +195,136 @@ def test_permissive_field_values():
     rep = bm_report(f, 1)
     assert [(e.p, e.b, e.route_b) for e in rep.entries] == [(2, 4, 4), (3, 4, 4)]
     assert intersection_number(f, 1).as_dict() == {2: Fraction(2), 3: Fraction(2)}
+
+
+def per_spot_route_a(field, m):
+    """Route A spot by spot: every signed n, ord_at at every spot, cmfield.rho."""
+    D, Ft = field.D, field.reflex
+    rel = dict(field.rel_diff)
+    rel_primes = {s.l for s in rel}
+    dyadic_relaxed = 2 in rel_primes
+    m2dt = m * m * field.dtilde
+    nmax = isqrt(m2dt - 1)
+    totals, per_n, passing = {}, [], {}
+    for n in range(-nmax, nmax + 1):
+        big_n = m2dt - n * n
+        if big_n % (D if dyadic_relaxed else 4 * D):
+            continue
+        e = QuadElem(Ft, n, m, 1)
+        vec = {}
+        ok = True
+        for l in sorted(set(prime_factors(big_n)) | {2, D} | rel_primes):
+            for spot in splitting(Ft, l):
+                exp = ord_at(e, spot) - ord_p(2 * D, l) * spot.e + rel.get(spot, 0)
+                if exp < 0:
+                    ok = False
+                    break
+                if exp:
+                    vec[spot] = exp
+            if not ok:
+                break
+        if not ok:
+            continue
+        if n:
+            passing.setdefault(abs(n), set()).add(1 if n > 0 else -1)
+        for spot, exp in vec.items():
+            if classify_in_reflex_cm(field, spot) == "split":
+                continue
+            adj = dict(vec)
+            adj[spot] = exp - 1
+            r = rho(field, tuple(adj.items()))
+            if r == 0:
+                continue
+            term = (exp - rel.get(spot, 0) + 1) * r * spot.f
+            totals[spot.l] = totals.get(spot.l, 0) + term
+            per_n.append((spot.l, n, term))
+    flags = tuple(
+        f"dual-membership:|n|={k}" for k in sorted(passing) if k % D and len(passing[k]) == 2
+    )
+    return _RouteA(tuple(sorted(totals.items())), tuple(per_n), flags, dyadic_relaxed)
+
+
+def shared_split_factors(field, m):
+    """Count the (n, l) of the scan with l an odd prime split in F̃ dividing n and m."""
+    count = 0
+    m2dt = m * m * field.dtilde
+    nmax = isqrt(m2dt - 1)
+    for n in _admissible_n(m2dt, 4 * field.D, -nmax, nmax):
+        for l in prime_factors(gcd(n, m)):
+            if l > 2 and splitting(field.reflex, l)[0].kind == "split":
+                count += 1
+    return count
+
+
+def test_route_a_matches_per_spot_scan():
+    strict = [f for D in (5, 13, 17) for f in enumerate_fields(D, 500, y_max=3, mode="strict")]
+    fields = strict[::5]
+    assert any(f.dtilde % 8 == 1 for f in fields)  # split spots over 2
+    fields.append(build_cm_field(5, QuadElem(F5, -25, -3, 2), mode="permissive"))
+    assert fields[-1].dtilde == 145
+    shared = nonzero = 0
+    for f in fields:
+        for m in range(1, 31):
+            want = per_spot_route_a(f, m)
+            assert _route_a(f, m) == want, (f.D, f.delta, f.mode, m)
+            nonzero += bool(want.totals)
+            shared += shared_split_factors(f, m)
+    assert nonzero >= 150 and shared >= 1000
+
+
+def test_split_ord_matches_ord_at():
+    rng = random.Random(41)
+    checked = shared = zero_n = deep = 0
+    for dt in (5, 13, 17, 41, 145, 389, 409, 421):
+        F = QuadField(dt)
+        for l in primes_up_to(101)[1:]:
+            spots = splitting(F, l)
+            if spots[0].kind != "split":
+                continue
+            root = hensel_sqrt(dt, l, 3)
+            for _ in range(12):
+                m = rng.randint(1, 300) * l ** rng.randint(0, 2)
+                shape = rng.randrange(3)
+                if shape == 0:
+                    n = rng.randint(-300, 300) * l ** rng.randint(0, 3)
+                elif shape == 1:
+                    n = (m * root) % l**3 + l**3 * rng.randint(-5, 5)  # l³ | N
+                else:
+                    n = 0
+                vl = ord_p(m * m * dt - n * n, l)
+                for spot in spots:
+                    got = _split_ord(n, m, spot, vl, ord_p(m, l))
+                    assert got == ord_at(QuadElem(F, n, m, 1), spot), (dt, l, n, m, spot)
+                    checked += 1
+                shared += n % l == 0 and m % l == 0
+                zero_n += n == 0
+                deep += vl >= 3
+    assert checked >= 1000 and shared >= 50 and zero_n >= 20 and deep >= 50
+
+
+def test_admissible_n_matches_filter():
+    rng = random.Random(43)
+    for _ in range(400):
+        div = rng.choice((1, 2, 5, 13, 20, 52, 68, 4 * 389, 4 * 1009))
+        m2dt = rng.randint(1, 10**7)
+        lo = rng.randint(-3000, 3000)
+        hi = lo + rng.randint(-2, 6000)
+        want = [n for n in range(lo, hi + 1) if (m2dt - n * n) % div == 0]
+        assert _admissible_n(m2dt, div, lo, hi) == want, (m2dt, div, lo, hi)
+
+
+def code_names(code):
+    """Global and attribute names a code object and its nested code objects use."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= code_names(const)
+    return names
+
+
+def test_routes_stay_independent():
+    # the routes cross-check each other only while neither calls into the other's machinery
+    a = code_names(bm._route_a.__wrapped__.__code__)
+    assert not a & {"_route_b", "b_l_factors", "admissible_matrices", "t_matrix", "alpha_l"}
+    b = code_names(bm._route_b.__wrapped__.__code__)
+    assert not b & {"_route_a", "ord_at", "rho", "splitting"}

@@ -1,7 +1,9 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from cmint import numutil
 from cmint.numutil import (
     _strong_lucas_probable_prime,
     factorize,
@@ -101,3 +103,19 @@ def test_ord_p():
     assert ord_p(40, 5) == 1
     assert ord_p(-40, 2) == 3
     assert ord_p(7, 3) == 0
+
+
+def test_factorize_seeds_rho_only_for_composite_cofactors(monkeypatch):
+    seeds = []
+
+    def recording_random(seed):
+        seeds.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr(numutil, "random", SimpleNamespace(Random=recording_random))
+    p, q = 100003, 100019  # trial division stops short of both
+    assert factorize.__wrapped__(p) == ((p, 1),)
+    assert factorize.__wrapped__(2 * p) == ((2, 1), (p, 1))
+    assert seeds == []
+    assert factorize.__wrapped__(p * q) == ((p, 1), (q, 1))
+    assert seeds == [0xC0FFEE ^ (p * q)]
