@@ -57,11 +57,8 @@ class _RouteA:
 def _admissible_n(m2dt: int, div: int, lo: int, hi: int) -> list[int]:
     """The n in [lo, hi], ascending, with div | m2dt − n².
 
-    Steps through the roots of n² ≡ m2dt (mod div); a range shorter than div
-    is filtered directly, so no more residues are tested than n in the range.
+    Steps through the roots of n² ≡ m2dt (mod div).
     """
-    if hi - lo < div:
-        return [n for n in range(lo, hi + 1) if (m2dt - n * n) % div == 0]
     roots = [r for r in range(div) if (m2dt - r * r) % div == 0]
     return [
         n

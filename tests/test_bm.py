@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd, isqrt
@@ -270,6 +271,26 @@ def test_route_a_matches_per_spot_scan():
             nonzero += bool(want.totals)
             shared += shared_split_factors(f, m)
     assert nonzero >= 150 and shared >= 1000
+
+
+def test_route_a_matches_per_spot_scan_with_dyadic_different():
+    # no enumerated field has a dyadic entry in its different, so one is added by
+    # hand: route A then keeps every n with D | m²D̃ − n² and reads v_2 from the
+    # exponents of N/D
+    strict = [f for D in (5, 13, 17) for f in enumerate_fields(D, 500, y_max=3, mode="strict")]
+    bases = [next(f for f in strict if f.dtilde % 8 == r) for r in (1, 5)]  # 2 split, 2 inert
+    checked = dyadic_terms = 0
+    for f in bases:
+        for spot in splitting(f.reflex, 2):
+            for e in (1, 2):
+                g = dataclasses.replace(f, rel_diff=f.rel_diff + ((spot, e),))
+                for m in range(1, 13):
+                    want = per_spot_route_a(g, m)
+                    assert want.dyadic_relaxed
+                    assert _route_a(g, m) == want, (f.D, f.delta, spot, e, m)
+                    checked += 1
+                    dyadic_terms += sum(p == 2 for p, _, _ in want.per_n)
+    assert checked == 72 and dyadic_terms >= 20
 
 
 def test_split_ord_matches_ord_at():
