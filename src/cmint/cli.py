@@ -86,17 +86,14 @@ def _frac_json(x: Fraction) -> int | str:
 
 
 def _report_objs(field: CMFieldData, ms: list[int], use_cache: bool) -> list[dict]:
-    store = cache.load() if use_cache else {}
+    base = cache.cache_dir()
     out = []
     for m in ms:
-        key = cache.report_key(
-            field.D, field.delta.x, field.delta.y, field.delta.den, field.mode, m
-        )
-        obj = store.get(key)
+        obj = cache.read(base, {**_field_obj(field), "m": m}) if use_cache else None
         if obj is None:
             obj = report_json_obj(bm_report(field, m))
             if use_cache:
-                cache.append(key, obj)
+                cache.write(base, obj)
         out.append(obj)
     return out
 

@@ -82,7 +82,7 @@ def _fl2_is_square(a: int, b: int, d: int, l: int) -> bool:
     return (ra, rb) == (1, 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _dyadic_squares(disc: int, modulus: int) -> frozenset[tuple[int, int]]:
     """All squares in O/modulus·O on the basis {1, ω}, ω = (1+√disc)/2."""
     c = (disc - 1) // 4
@@ -169,7 +169,7 @@ def _relative_different(delta_tilde: QuadElem, mode: str) -> tuple[tuple[PrimeSp
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _build_cached(D: int, x: int, y: int, den: int, mode: str) -> CMFieldData:
     if not is_prime(D) or D % 4 != 1:
         raise FieldRejected("D-not-valid", f"D = {D} must be a prime ≡ 1 mod 4")

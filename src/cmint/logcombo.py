@@ -22,13 +22,6 @@ class LogCombo:
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.coeffs)
 
-    def coeff(self, p: int) -> Fraction:
-        return dict(self.coeffs).get(p, Fraction(0))
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.coeffs)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -159,14 +159,6 @@ def is_perfect_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
-def squarefree_part(n: int) -> int:
-    s = 1
-    for p, e in factorize(n):
-        if e % 2:
-            s *= p
-    return s
-
-
 def ord_p(n: int, p: int) -> int:
     """Exponent of the prime p in the nonzero integer n."""
     if n == 0:

@@ -167,17 +167,3 @@ def hensel_sqrt(a: Rational, l: int, k: int) -> int | None:
         mod = min(mod * mod, target)
         r = (r + am_full * pow(r, -1, mod)) * pow(2, -1, mod) % mod
     return r % target
-
-
-def is_square_Ql(x: Rational, l: int) -> bool:
-    """Whether the nonzero rational x is a square in Q_l."""
-    if not is_prime(l):
-        raise InputError(f"is_square_Ql needs a prime, got {l}")
-    fx = Fraction(x)
-    if fx == 0:
-        raise InputError("is_square_Ql needs a nonzero argument")
-    if val(fx, l) % 2:
-        return False
-    if l == 2:
-        return unit_part_mod(fx, 2, 8) == 1
-    return legendre(unit_part_mod(fx, l, l), l) == 1

@@ -11,7 +11,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, InternalConsistencyError
-from .logcombo import LogCombo
 from .numutil import is_prime, is_squarefree, ord_p
 from .padic import hensel_sqrt, kronecker
 
@@ -87,9 +86,6 @@ class QuadElem:
             raise InternalConsistencyError("product left the maximal order")
         return QuadElem(self.field, x, y, den)
 
-    def scale(self, k: int) -> "QuadElem":
-        return QuadElem(self.field, k * self.x, k * self.y, self.den)
-
 
 def elem_norm(e: QuadElem) -> Fraction:
     """Field norm x² − y²·d over den²."""
@@ -144,7 +140,7 @@ class PrimeSpot:
         return 2 if self.kind == "ramified" else 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def _splitting(disc: int, l: int) -> tuple[PrimeSpot, ...]:
     QuadField(disc)
     if not is_prime(l):
@@ -166,15 +162,7 @@ def splitting(field: QuadField, l: int) -> tuple[PrimeSpot, ...]:
     return _splitting(field.disc, l)
 
 
-def conj_spot(spot: PrimeSpot) -> PrimeSpot:
-    """The image of the spot under the nontrivial automorphism."""
-    if spot.kind != "split":
-        return spot
-    other = (4 - spot.label) if spot.l == 2 else (spot.l - spot.label)
-    return PrimeSpot(spot.disc, spot.l, "split", other)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 15)
 def _root_for_spot(disc: int, l: int, label: int, k: int) -> int:
     """The mod-l^k image of √disc under this split spot's embedding."""
     r = hensel_sqrt(disc, l, k)
@@ -218,8 +206,3 @@ def ord_at(e: QuadElem, spot: PrimeSpot) -> int:
     if img == 0:
         raise InternalConsistencyError("split embedding vanished at full precision")
     return ord_p(img, l) - vden
-
-
-def spot_norm_log(spot: PrimeSpot) -> LogCombo:
-    """log of the absolute norm of the spot, as an exact combination."""
-    return LogCombo.from_dict({spot.l: spot.f})

@@ -96,33 +96,117 @@ def test_csv_format(tmp_path, cache_dir, capsys):
     assert lines[1] == "5,-13,1,2,strict,1,2,2,2,2"
 
 
+def cache_files(cache_dir) -> dict:
+    """Every file under the cache dir with its bytes and modification time."""
+    return {f: (f.read_bytes(), f.stat().st_mtime_ns) for f in cache_dir.rglob("*") if f.is_file()}
+
+
+def report_file(cache_dir, m, D=5, x=-13, y=1, den=2, mode="strict"):
+    return cache_dir / "v2" / f"{D}_{x}_{y}_{den}_{mode}_{m}.json"
+
+
 def test_cache_roundtrip_byte_identical(tmp_path, cache_dir, capsys):
     field = write_field(tmp_path / "f.json")
     assert cli.run(["bm", "--field", field, "--m", "1-2"]) == 0
     first = capsys.readouterr().out
-    store = cache_dir / "reports.jsonl"
-    assert store.exists()
-    size = store.stat().st_size
+    before = cache_files(cache_dir)
+    assert set(before) == {report_file(cache_dir, 1), report_file(cache_dir, 2)}
+    for f, (data, _) in before.items():
+        assert json.loads(data)["m"] == int(f.stem.rsplit("_", 1)[1])
     assert cli.run(["bm", "--field", field, "--m", "1-2"]) == 0
     second = capsys.readouterr().out
     assert first == second
-    assert store.stat().st_size == size  # cache hits append nothing new
+    assert cache_files(cache_dir) == before  # cache hits add or change no file
 
 
 def test_no_cache_writes_nothing(tmp_path, cache_dir, capsys):
     field = write_field(tmp_path / "f.json")
     assert cli.run(["bm", "--field", field, "--m", "1", "--no-cache"]) == 0
     capsys.readouterr()
-    assert not (cache_dir / "reports.jsonl").exists()
+    assert not cache_dir.exists()
 
 
 def test_corrupt_cache_line_is_ignored(tmp_path, cache_dir, capsys):
     field = write_field(tmp_path / "f.json")
-    cache_dir.mkdir(parents=True)
-    (cache_dir / "reports.jsonl").write_text("not json\n{\"key\": 1}\n")
     assert cli.run(["bm", "--field", field, "--m", "1"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["reports"][0]["entries"][0]["b"] == 2
+    cold = capsys.readouterr().out
+    path = report_file(cache_dir, 1)
+    good = path.read_bytes()
+    path.write_text("not json\n")
+    assert cli.run(["bm", "--field", field, "--m", "1"]) == 0
+    assert capsys.readouterr().out == cold
+    assert path.read_bytes() == good  # recomputed and rewritten
+
+
+def foreign_content(kind: str, good: str, other: str) -> bytes:
+    """A cache file's content that is not the report it should hold."""
+    obj = json.loads(good)
+    entry = obj["entries"][0]
+    texts = {
+        "empty-object": "{}",
+        "array": "[]",
+        "null": "null",
+        "empty-file": "",
+        "truncated": good[: len(good) // 2],
+        "too-deep": "[" * 100_000,
+        "old-cache-row": json.dumps({"key": "5|-13|1|2|strict|1", "version": 1, "report": {}}),
+        "other-m": other,
+        "m-as-float": json.dumps({**obj, "m": 1.0}),
+        "m-as-bool": json.dumps({**obj, "m": True}),
+        "extra-delta-key": json.dumps({**obj, "delta": {**obj["delta"], "z": 0}}),
+        "entries-not-list": json.dumps({**obj, "entries": {}}),
+        "entry-not-object": json.dumps({**obj, "entries": [1]}),
+        "entry-missing-key": json.dumps({**obj, "entries": [{"p": 2, "b": 2}]}),
+        "b-not-int": json.dumps({**obj, "entries": [{**entry, "b": "x"}]}),
+    }
+    return b"\xff" + good.encode() if kind == "not-utf8" else texts[kind].encode()
+
+
+FOREIGN_KINDS = [
+    "empty-object", "array", "null", "empty-file", "truncated", "too-deep", "not-utf8",
+    "old-cache-row", "other-m", "m-as-float", "m-as-bool", "extra-delta-key",
+    "entries-not-list", "entry-not-object", "entry-missing-key", "b-not-int",
+]
+
+
+@pytest.mark.parametrize("kind", FOREIGN_KINDS)
+@pytest.mark.parametrize("command", ["bm", "intersect"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_foreign_cache_file_is_recomputed(tmp_path, cache_dir, capsys, kind, command, fmt):
+    field = write_field(tmp_path / "f.json")
+    argv = [command, "--field", field, "--m", "1", "--format", fmt]
+    assert cli.run(["bm", "--field", field, "--m", "1-2"]) == 0
+    capsys.readouterr()
+    assert cli.run(argv + ["--no-cache"]) == 0
+    cold = capsys.readouterr().out
+    path = report_file(cache_dir, 1)
+    good = path.read_text()
+    path.write_bytes(foreign_content(kind, good, report_file(cache_dir, 2).read_text()))
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == cold
+    assert path.read_text() == good  # recomputed and overwritten
+
+
+def test_warm_single_m_reads_only_its_file(tmp_path, cache_dir, capsys, monkeypatch):
+    field = write_field(tmp_path / "f.json")
+    assert cli.run(["bm", "--field", field, "--m", "1"]) == 0
+    cold = capsys.readouterr().out
+    assert cli.run(["bm", "--field", field, "--m", "2-6"]) == 0
+    capsys.readouterr()
+    for m in range(2, 7):
+        report_file(cache_dir, m).write_text("not json")
+    (cache_dir / "reports.jsonl").write_text(
+        '{"key": "5|-13|1|2|strict|1", "version": 1, "report": {}}\n'
+    )
+    before = cache_files(cache_dir)
+
+    def boom(*a, **k):
+        raise AssertionError("a cached m was recomputed")
+
+    monkeypatch.setattr(cli, "bm_report", boom)
+    assert cli.run(["bm", "--field", field, "--m", "1"]) == 0
+    assert capsys.readouterr().out == cold
+    assert cache_files(cache_dir) == before
 
 
 def test_missing_field_file(tmp_path, capsys):

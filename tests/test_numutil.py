@@ -13,7 +13,6 @@ from cmint.numutil import (
     ord_p,
     prime_factors,
     primes_up_to,
-    squarefree_part,
 )
 
 
@@ -88,8 +87,6 @@ def test_factorize_examples():
 def test_squarefree():
     assert is_squarefree(1) and is_squarefree(2) and is_squarefree(30)
     assert not is_squarefree(4) and not is_squarefree(18)
-    assert squarefree_part(18) == 2
-    assert squarefree_part(41) == 41
 
 
 def test_perfect_square():

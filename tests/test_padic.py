@@ -8,7 +8,6 @@ from cmint.numutil import prime_factors, primes_up_to
 from cmint.padic import (
     hensel_sqrt,
     hilbert,
-    is_square_Ql,
     kronecker,
     legendre,
     unit_part_mod,
@@ -191,12 +190,3 @@ def test_hensel_canonical_choice():
     # dyadic roots are odd; the construction is stable mod 2^(k-1)
     r = hensel_sqrt(17, 2, 6)
     assert r == 41 and (r * r - 17) % 64 == 0
-
-
-def test_is_square_Ql():
-    assert is_square_Ql(Fraction(1, 4), 2)
-    assert not is_square_Ql(2, 2)
-    assert not is_square_Ql(3, 2)
-    assert is_square_Ql(Fraction(9, 49), 7)
-    assert not is_square_Ql(5, 7)
-    assert is_square_Ql(4, 5) and not is_square_Ql(20, 5)

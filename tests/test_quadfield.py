@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -10,12 +9,10 @@ from cmint.quadfield import (
     PrimeSpot,
     QuadElem,
     QuadField,
-    conj_spot,
     elem_div_exact,
     elem_norm,
     ord_at,
     spot_embed,
-    spot_norm_log,
     splitting,
 )
 
@@ -92,13 +89,6 @@ def test_split_labels_are_roots():
         assert (s.label * s.label - 41) % 5 == 0
 
 
-def test_conj_spot():
-    a, b = splitting(F41, 5)
-    assert conj_spot(a) == b and conj_spot(b) == a
-    (inert,) = splitting(F5, 2)
-    assert conj_spot(inert) == inert
-
-
 def test_spot_embed_consistency():
     e = QuadElem(F41, 3, 2, 1)
     for s in splitting(F41, 5):
@@ -147,10 +137,3 @@ def test_valuation_consistency():
             for l in (2, 3, 5, 7, 11, 13, 41):
                 total = sum(s.f * ord_at(e, s) for s in splitting(F, l))
                 assert total == val(nrm, l), (disc, x, y, den, l)
-
-
-def test_spot_norm_log():
-    (s2,) = splitting(F5, 2)
-    assert s2.f == 2 and spot_norm_log(s2).as_dict() == {2: Fraction(2)}
-    a, _ = splitting(F41, 5)
-    assert spot_norm_log(a).as_dict() == {5: Fraction(1)}
