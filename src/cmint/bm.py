@@ -84,7 +84,6 @@ def _split_ord(n: int, m: int, spot: PrimeSpot, vl: int, vm: int) -> int:
     return vl - g if (n // q + m // q * spot.label) % l == 0 else g
 
 
-@lru_cache(maxsize=4096)
 def _route_a(field: CMFieldData, m: int) -> _RouteA:
     """One scan over signed n computing every prime's definitional terms.
 
@@ -194,13 +193,6 @@ def support_primes(field: CMFieldData, m: int) -> tuple[int, ...]:
     for n in _admissible_n(m2dt, fourD, 0, isqrt(m2dt - 1)):
         out.update(prime_factors((m2dt - n * n) // fourD))
     return tuple(sorted(out))
-
-
-def bm_p_definition(field: CMFieldData, m: int, p: int) -> int:
-    """b_m(p) straight from the definitional ideal count."""
-    if m < 1 or not is_prime(p):
-        raise InputError("need m >= 1 and p prime")
-    return dict(_route_a(field, m).totals).get(p, 0)
 
 
 @lru_cache(maxsize=4096)

@@ -5,6 +5,7 @@ The report of the field (D, Δ = (x + y√D)/den, mode) at m is the file
 ``json.dumps(report, sort_keys=True)``. A file is input from outside the program:
 it is a hit only if it holds the report of exactly that field and m with entries
 the CLI can print. Anything else is a miss, recomputed and overwritten in place.
+A cache dir that cannot be written is skipped.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ def read(base: Path, head: dict) -> dict | None:
 
 
 def write(base: Path, report: dict) -> None:
+    """Store `report`; a cache dir that cannot be written is skipped."""
     path = report_path(base, report)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, sort_keys=True))
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(report, sort_keys=True))
+    except OSError:
+        pass

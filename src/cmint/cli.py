@@ -21,7 +21,6 @@ from .cmfield import CMFieldData, build_cm_field
 from .errors import FieldRejected, InputError, InternalConsistencyError
 from .logcombo import LogCombo
 from .quadfield import QuadElem, QuadField
-from .selfcheck import run_suite
 
 _RANGE = re.compile(r"^(\d+)(?:-(\d+))?$")
 
@@ -183,6 +182,8 @@ def _cmd_igusa(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    from .selfcheck import run_suite  # only this command needs the suites
+
     results = run_suite(args.suite)
     payload = {
         "suite": args.suite,

@@ -1,10 +1,18 @@
-"""Built-in consistency suites behind the `cmint selfcheck` command."""
+"""The package's consistency checks, shared by `cmint selfcheck` and the tests.
+
+Each ``check_*`` function takes its scale, checks one invariant exactly over it
+and returns the number of cases checked; a violation raises
+`InternalConsistencyError`. `SUITES` runs them at small scale behind
+`cmint selfcheck`, the tests at the scales the README lists, and `run_suite`
+turns each outcome into a (name, ok, detail) row instead of a crash.
+"""
 
 from __future__ import annotations
 
 import json
 import random
 import tempfile
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, isqrt
 from pathlib import Path
@@ -17,17 +25,15 @@ from .applications import (
 )
 from .bm import bm_full, bm_report, intersection_number, report_json_obj
 from .cmfield import CMFieldData, build_cm_field
-from .errors import FieldRejected
+from .errors import FieldRejected, InternalConsistencyError
 from .numutil import is_squarefree, prime_factors, primes_up_to
-from .padic import hensel_sqrt, hilbert
+from .padic import hensel_sqrt, hilbert, legendre
 from .quadfield import QuadElem, QuadField
 from .tmatrix import mu_candidates, t_matrix
 
 
-def enumerate_fields(
-    D: int, dtilde_max: int, y_max: int = 3, mode: str = "strict"
-) -> list[CMFieldData]:
-    """Accepted Δ = (x + y√D)/den with den in {1,2}, 1 <= |y| <= y_max, D̃ <= dtilde_max."""
+def enumerate_fields(D: int, dtilde_max: int, y_max: int = 3) -> list[CMFieldData]:
+    """Strict Δ = (x + y√D)/den with den in {1,2}, 1 <= |y| <= y_max, D̃ <= dtilde_max."""
     F = QuadField(D)
     out = []
     for den in (1, 2):
@@ -39,10 +45,25 @@ def enumerate_fields(
                 if den == 2 and ((x - y) % 2 or x % 2 == 0):
                     continue
                 try:
-                    out.append(build_cm_field(D, QuadElem(F, x, y, den), mode))
+                    out.append(build_cm_field(D, QuadElem(F, x, y, den)))
                 except FieldRejected:
                     continue
     return out
+
+
+def sweep_fields() -> list[CMFieldData]:
+    """The 40 strict fields of the wide sweep: D ∈ {5, 13, 17}, D̃ <= 500, |y| <= 3."""
+    return [f for D in (5, 13, 17) for f in enumerate_fields(D, 500)]
+
+
+def worked_field() -> CMFieldData:
+    """D = 5, Δ = (−13 + √5)/2, D̃ = 41."""
+    return build_cm_field(5, QuadElem(QuadField(5), -13, 1, 2))
+
+
+def cyclotomic_field() -> CMFieldData:
+    """D = 5, Δ = (−5 − √5)/2: K is the 5th cyclotomic field, D̃ = 5."""
+    return build_cm_field(5, QuadElem(QuadField(5), -5, -1, 2))
 
 
 def sample_vanishing_fields(count: int, seed: int) -> list[CMFieldData]:
@@ -67,119 +88,179 @@ def sample_vanishing_fields(count: int, seed: int) -> list[CMFieldData]:
     return out
 
 
-def _check_hilbert_product() -> str:
-    rng = random.Random(20260817)
-    for _ in range(300):
-        a = rng.randint(-60, 60)
-        b = rng.randint(-60, 60)
-        if a == 0 or b == 0:
-            continue
-        prod = hilbert(a, b, "infinity")
-        for l in {2, *prime_factors(abs(a)), *prime_factors(abs(b))}:
-            prod *= hilbert(a, b, l)
-        if prod != 1:
-            return f"product formula fails at a={a}, b={b}"
-    return ""
+def _locked(values: list[tuple[str, object, object]]) -> int:
+    """Compare each (what, got, want); the number compared."""
+    for what, got, want in values:
+        if got != want:
+            raise InternalConsistencyError(f"{what}: {got!r}, expected {want!r}")
+    return len(values)
 
 
-def _check_hensel() -> str:
-    for l in primes_up_to(13):
-        for k in range(1, 7):
-            mod = l**k
-            for a in range(1, min(mod, 200)):
-                if a % l == 0:
-                    continue
-                r = hensel_sqrt(a, l, k)
-                if r is not None:
-                    if (r * r - a) % mod:
-                        return f"bad root for a={a}, l={l}, k={k}"
-                elif mod <= 2048 and any((x * x - a) % mod == 0 for x in range(mod)):
-                    return f"missed root for a={a}, l={l}, k={k}"
-                nxt = hensel_sqrt(a, l, k + 1)
-                stable = mod if l % 2 else mod // 2
-                if r is not None and nxt is not None and (nxt - r) % stable:
-                    return f"unstable lift for a={a}, l={l}, k={k}"
-    return ""
+def check_route_agreement(fields: Iterable[CMFieldData], ms: Sequence[int]) -> int:
+    """Routes A and B on every support prime, for each squarefree m in `ms` prime to 2DD̃.
+
+    Route B must apply exactly when p ∤ m, and then equal route A; returns the
+    number of primes compared.
+    """
+    compared = 0
+    for field in fields:
+        for m in ms:
+            if not is_squarefree(m) or gcd(m, 2 * field.D * field.dtilde) != 1:
+                continue
+            for e in bm_report(field, m).entries:
+                if (e.route_b is None) != (m % e.p == 0) or e.route_b not in (None, e.route_a):
+                    raise InternalConsistencyError(
+                        f"route disagreement at p={e.p}, m={m}, D={field.D}, "
+                        f"delta={field.delta}: {e.route_a} (A) vs {e.route_b} (B)"
+                    )
+                compared += e.route_b is not None
+    return compared
 
 
-def _check_worked_instance() -> str:
-    field = build_cm_field(5, QuadElem(QuadField(5), -13, 1, 2))
-    rep = bm_report(field, 1)
-    got = {e.p: e.b for e in rep.entries}
-    if got != {2: 2}:
-        return f"b_1 entries {got}"
-    if [e.route_b for e in rep.entries] != [2]:
-        return "product route differs"
-    if intersection_number(field, 1).as_dict() != {2: Fraction(1)}:
-        return "intersection number"
-    if humbert_intersection(field, 1).as_dict() != {2: Fraction(1)}:
-        return "humbert intersection"
-    cert = bad_reduction_primes(field)
-    if cert.bad_primes != (2,) or cert.bound != Fraction(205, 64):
-        return "bad reduction certificate"
-    ig = igusa_denominator_bounds(field)
-    if ig != {"A1": {2: 12}, "A2": {2: 8}, "A3": {2: 8}}:
-        return f"denominator bounds {ig}"
-    return ""
-
-
-def _check_cyclotomic() -> str:
-    field = build_cm_field(5, QuadElem(QuadField(5), -5, -1, 2))
-    if field.w_k != 10:
-        return f"unit count {field.w_k}"
-    for m in range(1, 4):
-        if not bm_full(field, m).is_zero():
-            return f"b_{m} nonzero"
-    return ""
-
-
-def _check_tmatrix() -> str:
-    for dx, dy in ((-5, -1), (-13, 1)):
-        field = build_cm_field(5, QuadElem(QuadField(5), dx, dy, 2))
-        for m in range(1, 7):
-            for n in range(1, isqrt(m * m * field.dtilde - 1) + 1):
-                if (m * m * field.dtilde - n * n) % field.D:
-                    continue
-                mus = mu_candidates(field, m, n)
-                if len(mus) != (2 if n % field.D == 0 else 1):
-                    return f"mu count {len(mus)} at m={m}, n={n}"
-                for mu in mus:
-                    T = t_matrix(field, m, n, mu)
-                    if T is None or T.a <= 0 or T.det <= 0:
-                        return f"bad matrix at m={m}, n={n}, mu={mu}"
-    return ""
-
-
-def _route_sweep(d_list, dtilde_max: int, m_max: int, y_max: int) -> str:
-    for D in d_list:
-        for field in enumerate_fields(D, dtilde_max, y_max=y_max):
-            for m in range(1, m_max + 1):
-                if is_squarefree(m) and gcd(m, 2 * D * field.dtilde) == 1:
-                    bm_report(field, m)  # raises on any route disagreement
-    return ""
-
-
-def _check_routes_small() -> str:
-    return _route_sweep((5,), 100, 11, 2)
-
-
-def _check_routes_full() -> str:
-    return _route_sweep((5, 13, 17), 500, 30, 3)
-
-
-def _check_vanishing(count: int) -> str:
-    for field in sample_vanishing_fields(count, seed=7):
+def check_vanishing(count: int, seed: int) -> int:
+    """b_m = 0 for every m with m²D̃ <= 4D on `count` sampled fields; the number of m."""
+    checked = 0
+    for field in sample_vanishing_fields(count, seed):
         m = 1
         while m * m * field.dtilde <= 4 * field.D:
             if not bm_full(field, m).is_zero():
-                return f"b_{m} nonzero for D={field.D}, delta={field.delta}"
+                raise InternalConsistencyError(f"b_{m} != 0 for D={field.D}, delta={field.delta}")
+            checked += 1
             m += 1
-    return ""
+    return checked
 
 
-def _check_cache_roundtrip() -> str:
-    field = build_cm_field(5, QuadElem(QuadField(5), -13, 1, 2))
-    obj = report_json_obj(bm_report(field, 1))
+def check_tmatrix_laws(fields: Iterable[CMFieldData], m_max: int) -> int:
+    """The laws of every T(m, n, μ) with m <= m_max; the number of matrices checked."""
+    seen = 0
+    for f in fields:
+        D = f.D
+        two_d0 = 2 * Fraction(f.delta.x, f.delta.den)
+        two_d1 = 2 * Fraction(f.delta.y, f.delta.den)
+        for m in range(1, m_max + 1):
+            for n in range(1, isqrt(m * m * f.dtilde - 1) + 1):
+                N = m * m * f.dtilde - n * n
+                if N % D:
+                    continue
+                mus = mu_candidates(f, m, n)  # raises if uniqueness fails
+                if len(mus) != (2 if n % D == 0 else 1):
+                    raise InternalConsistencyError(f"signs {mus} at m={m}, n={n}, D={D}")
+                for mu in (1, -1):
+                    T = t_matrix(f, m, n, mu)
+                    if mu not in mus:
+                        ok = T is None
+                    else:
+                        ok = T is not None and (
+                            T.a > 0
+                            and T.det > 0
+                            and T.det == Fraction(N, D * m * m)
+                            # the defining congruences for half-integral coefficients
+                            and 2 * mu * Fraction(n, m) - D * T.c == two_d0
+                            and 2 * T.b + D * T.c == -two_d1
+                            and all((m * v).denominator == 1 for v in T.entries)
+                        )
+                    if not ok:
+                        raise InternalConsistencyError(
+                            f"T = {T} at m={m}, n={n}, mu={mu}, D={D}, delta={f.delta}"
+                        )
+                    seen += T is not None
+    return seen
+
+
+def check_hilbert_product(count: int, seed: int, num_max: int, den_max: int) -> int:
+    """Π_v (a, b)_v = 1 over every place for `count` random pairs ±num/den."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a, b = (
+            Fraction(rng.choice((1, -1)) * rng.randint(1, num_max), rng.randint(1, den_max))
+            for _ in range(2)
+        )
+        places = {2}
+        for x in (a, b):
+            places.update(prime_factors(abs(x.numerator)), prime_factors(x.denominator))
+        prod = hilbert(a, b, "infinity")
+        for l in places:
+            prod *= hilbert(a, b, l)
+        if prod != 1:
+            raise InternalConsistencyError(f"product formula fails at a={a}, b={b}")
+    return count
+
+
+def check_hensel(l_max: int, k_max: int, a_max: int, draws: int = 0, seed: int = 0) -> int:
+    """hensel_sqrt(a, l, k) for prime l <= l_max, k <= k_max and each unit a that is
+    below a_max, l^k − 1 or one of `draws` random ones, and for a² mod l^k.
+
+    A root lies in (0, l^k), squares it to a and lifts stably to l^(k+1). A missing
+    root is confirmed by brute force up to l^k = 2048, else by Legendre or mod 8;
+    a² must get one. Returns the number of (a, l, k) checked.
+    """
+    rng = random.Random(seed)
+    checked = 0
+    for l in primes_up_to(l_max):
+        for k in range(1, k_max + 1):
+            mod = l**k
+            stable = mod if l % 2 else mod // 2
+            squares = {x * x % mod for x in range(mod)} if mod <= 2048 else None
+            samples = {*range(1, min(mod, a_max)), mod - 1}
+            samples.update(rng.randrange(1, mod) for _ in range(draws))
+            for a in sorted(x for x in samples if x % l):
+                for b, square in ((a, False), (a * a % mod, True)):
+                    r = hensel_sqrt(b, l, k)
+                    if r is None:
+                        if squares is not None:
+                            has_root = b in squares
+                        else:
+                            has_root = b % 8 == 1 if l == 2 else legendre(b, l) == 1
+                        if has_root or square:
+                            raise InternalConsistencyError(f"missed root of {b} mod {l}^{k}")
+                    else:
+                        nxt = hensel_sqrt(b, l, k + 1)
+                        bad = not 0 < r < mod or (r * r - b) % mod
+                        if bad or nxt is None or (nxt - r) % stable:
+                            raise InternalConsistencyError(
+                                f"bad root {r} of {b} mod {l}^{k}, lifted to {nxt}"
+                            )
+                    checked += 1
+    return checked
+
+
+def check_worked_instance() -> int:
+    """Every value locked for D = 5, Δ = (−13 + √5)/2 at m = 1; the number locked."""
+    field = worked_field()
+    rep = bm_report(field, 1)
+    cert = bad_reduction_primes(field)
+    entries = [(e.p, e.b, e.route_a, e.route_b, e.per_n) for e in rep.entries]
+    return _locked([
+        ("b_1 entries", entries, [(2, 2, 2, 2, ((-1, 2),))]),
+        ("flags", rep.flags, ()),
+        ("b_1", bm_full(field, 1).as_dict(), {2: Fraction(2)}),
+        ("intersection number", intersection_number(field, 1).as_dict(), {2: Fraction(1)}),
+        ("humbert intersection", humbert_intersection(field, 1).as_dict(), {2: Fraction(1)}),
+        ("bad primes", cert.bad_primes, (2,)),
+        ("certificate indices", cert.indices, (1,)),
+        ("certificate per prime", cert.per_prime, ((2, 2),)),
+        ("certificate bound", cert.bound, Fraction(205, 64)),
+        ("igusa", igusa_denominator_bounds(field), {"A1": {2: 12}, "A2": {2: 8}, "A3": {2: 8}}),
+    ])
+
+
+def check_cyclotomic() -> int:
+    """The locked values of the cyclotomic field for m <= 7; the number locked."""
+    field = cyclotomic_field()
+    rep7 = bm_report(field, 7)
+    return _locked([
+        ("unit count", field.w_k, 10),
+        *((f"b_{m}", bm_full(field, m).as_dict(), {}) for m in (1, 2, 3)),
+        ("b_4", bm_full(field, 4).as_dict(), {2: Fraction(4)}),
+        ("b_5", bm_full(field, 5).as_dict(), {5: Fraction(2)}),
+        ("b_6", bm_full(field, 6).as_dict(), {2: Fraction(8), 3: Fraction(4)}),
+        ("b_7 entries", [(e.p, e.b, e.route_b) for e in rep7.entries], [(11, 0, 0)]),
+    ])
+
+
+def check_cache_roundtrip() -> int:
+    """A report written to a temp cache reads back byte-identical, and `{}` is a miss."""
+    obj = report_json_obj(bm_report(worked_field(), 1))
     head = {k: obj[k] for k in ("D", "delta", "mode", "m")}
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
@@ -188,35 +269,37 @@ def _check_cache_roundtrip() -> str:
         back = cache.read(base, head)
         cache.report_path(base, head).write_text("{}")
         foreign = cache.read(base, head)
-    if json.dumps(back, sort_keys=True) != json.dumps(obj, sort_keys=True):
-        return "cached report is not byte-identical"
-    if foreign is not None:
-        return "a file that holds no report counted as a hit"
-    return ""
+    return _locked([
+        ("cached report", json.dumps(back, sort_keys=True), json.dumps(obj, sort_keys=True)),
+        ("a file that holds no report", foreign, None),
+    ])
 
 
 _SMALL = (
-    ("hilbert-product-formula", _check_hilbert_product),
-    ("hensel-roundtrip", _check_hensel),
-    ("worked-instance", _check_worked_instance),
-    ("cyclotomic-vanishing", _check_cyclotomic),
-    ("t-matrix-laws", _check_tmatrix),
-    ("route-agreement", _check_routes_small),
-    ("cache-roundtrip", _check_cache_roundtrip),
+    ("hilbert-product-formula", lambda: check_hilbert_product(300, 20260817, 60, 1)),
+    ("hensel-roundtrip", lambda: check_hensel(13, 6, 200)),
+    ("worked-instance", check_worked_instance),
+    ("cyclotomic-vanishing", check_cyclotomic),
+    ("t-matrix-laws", lambda: check_tmatrix_laws((cyclotomic_field(), worked_field()), 6)),
+    ("route-agreement", lambda: check_route_agreement(enumerate_fields(5, 100, 2), range(1, 12))),
+    ("cache-roundtrip", check_cache_roundtrip),
 )
 
-_FULL = _SMALL + (
-    ("route-agreement-wide", _check_routes_full),
-    ("vanishing-range", lambda: _check_vanishing(100)),
-)
+SUITES = {
+    "small": _SMALL,
+    "full": _SMALL + (
+        ("route-agreement-wide", lambda: check_route_agreement(sweep_fields(), range(1, 31))),
+        ("vanishing-range", lambda: check_vanishing(100, seed=7)),
+    ),
+}
 
 
 def run_suite(suite: str) -> list[tuple[str, bool, str]]:
-    checks = _SMALL if suite == "small" else _FULL
     results = []
-    for name, fn in checks:
+    for name, check in SUITES[suite]:
         try:
-            detail = fn()
+            check()
+            detail = ""
         except Exception as exc:  # a selfcheck reports failures, never crashes
             detail = f"{type(exc).__name__}: {exc}"
         results.append((name, detail == "", detail))

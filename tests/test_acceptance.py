@@ -6,43 +6,31 @@ timed ones also assert their runtime budgets.
 
 import random
 import time
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from cmint.applications import (
-    bad_reduction_primes,
-    humbert_intersection,
-    igusa_denominator_bounds,
-)
-from cmint.bm import (
-    bm_full,
-    bm_p_definition,
-    bm_p_product,
-    bm_report,
-    intersection_number,
-    support_primes,
-)
+from cmint.bm import bm_report
 from cmint.cmfield import build_cm_field
 from cmint.localdensity import LocalFactorInput, b_l_factor, beta_l_factor
-from cmint.numutil import is_squarefree, ord_p, prime_factors, primes_up_to
-from cmint.padic import hensel_sqrt, hilbert, kronecker, legendre
+from cmint.numutil import ord_p, prime_factors, primes_up_to
+from cmint.padic import kronecker
 from cmint.quadfield import QuadElem, QuadField, elem_norm, ord_at, splitting
-from cmint.selfcheck import enumerate_fields, sample_vanishing_fields
+from cmint.selfcheck import (
+    check_hensel,
+    check_hilbert_product,
+    check_route_agreement,
+    check_tmatrix_laws,
+    check_vanishing,
+    check_worked_instance,
+    sweep_fields,
+    worked_field,
+)
 from cmint.tmatrix import mu_candidates, t_matrix
 
 
 @lru_cache(maxsize=None)
 def strict_sweep():
-    fields = []
-    for D in (5, 13, 17):
-        fields.extend(enumerate_fields(D, 500, y_max=3, mode="strict"))
-    return tuple(fields)
-
-
-def sweep_ms(field):
-    bad = 2 * field.D * field.dtilde
-    return [m for m in range(1, 31) if is_squarefree(m) and gcd(m, bad) == 1]
+    return tuple(sweep_fields())
 
 
 def test_field_window_is_nonempty():
@@ -51,56 +39,19 @@ def test_field_window_is_nonempty():
 
 def test_route_equivalence_full_sweep():
     start = time.monotonic()
-    compared = skipped_p_dividing_m = 0
-    for f in strict_sweep():
-        for m in sweep_ms(f):
-            for p in support_primes(f, m):
-                ra = bm_p_definition(f, m, p)
-                rb = bm_p_product(f, m, p)
-                if m % p == 0:
-                    assert rb is None
-                    skipped_p_dividing_m += 1
-                    continue
-                assert rb is not None
-                assert ra == rb, (f.D, f.delta, m, p, ra, rb)
-                compared += 1
+    compared = check_route_agreement(strict_sweep(), range(1, 31))
     elapsed = time.monotonic() - start
     assert compared >= 500
     assert elapsed < 60.0, f"route sweep took {elapsed:.1f}s"
 
 
-def worked_field():
-    return build_cm_field(5, QuadElem(QuadField(5), -13, 1, 2), mode="strict")
-
-
 def test_worked_instance_values():
-    f = worked_field()
-    assert bm_full(f, 1).as_dict() == {2: Fraction(2)}
-    assert intersection_number(f, 1).as_dict() == {2: Fraction(1)}
-    assert humbert_intersection(f, 1).as_dict() == {2: Fraction(1)}
-    cert = bad_reduction_primes(f)
-    assert cert.bad_primes == (2,)
-    assert cert.indices == (1,)
-    assert cert.per_prime == ((2, 2),)
-    assert cert.bound == Fraction(205, 64)
-    assert igusa_denominator_bounds(f) == {
-        "A1": {2: 12},
-        "A2": {2: 8},
-        "A3": {2: 8},
-    }
+    assert check_worked_instance() == 10
 
 
 def test_vanishing_law_on_random_fields():
-    fields = sample_vanishing_fields(200, seed=20260817)
-    assert len(fields) == 200
-    checked = 0
-    for f in fields:
-        m = 1
-        while m * m * f.dtilde <= 4 * f.D:
-            assert bm_full(f, m).is_zero(), (f.D, f.delta, m)
-            checked += 1
-            m += 1
-    assert checked >= 200  # every sampled field admits at least m = 1
+    # every sampled field admits at least m = 1
+    assert check_vanishing(200, seed=20260817) >= 200
 
 
 def test_support_law_for_nonzero_values():
@@ -164,84 +115,16 @@ def test_local_factor_relation_beta_vs_b():
 
 def test_padic_substrate():
     start = time.monotonic()
-
-    # Hilbert product formula over all places, 10^4 random rational pairs.
-    rng = random.Random(9001)
-
-    def rand_rational():
-        num = rng.choice([1, -1]) * rng.randint(1, 400)
-        return Fraction(num, rng.randint(1, 400))
-
-    for _ in range(10_000):
-        a, b = rand_rational(), rand_rational()
-        places = {2}
-        for x in (a, b):
-            places.update(prime_factors(abs(x.numerator)))
-            places.update(prime_factors(x.denominator))
-        prod = hilbert(a, b, "infinity")
-        for p in places:
-            prod *= hilbert(a, b, p)
-        assert prod == 1, (a, b)
-
-    # hensel_sqrt round-trip for l <= 97, k <= 12.
-    for l in primes_up_to(97):
-        for k in range(1, 13):
-            mod = l**k
-            samples = {1, mod - 1 if l == 2 else l - 1}
-            while len(samples) < min(12, mod - 1):
-                samples.add(rng.randint(1, mod - 1))
-            for a in samples:
-                if a % l == 0:
-                    continue
-                r = hensel_sqrt(a, l, k)
-                if r is not None:
-                    assert (r * r - a) % mod == 0, (a, l, k, r)
-                elif l != 2:
-                    assert legendre(a, l) == -1, (a, l, k)
-                else:
-                    assert a % min(mod, 8) != 1 % min(mod, 8), (a, k)
-                s = rng.randint(1, mod - 1)
-                if s % l:
-                    sq = s * s % mod
-                    r2 = hensel_sqrt(sq, l, k)
-                    assert r2 is not None and (r2 * r2 - sq) % mod == 0, (sq, l, k)
-
-    # legendre against brute-force square enumeration for every odd p < 100.
-    for p in primes_up_to(100):
-        if p == 2:
-            continue
-        squares = {x * x % p for x in range(1, p)}
-        for a in range(p):
-            want = 0 if a == 0 else (1 if a in squares else -1)
-            assert legendre(a, p) == want
-
+    # Hilbert product formula over all places, 10^4 random rational pairs
+    assert check_hilbert_product(10_000, 9001, 400, 400) == 10_000
+    # hensel_sqrt round trip for l <= 97, k <= 12, about a dozen units per modulus
+    assert check_hensel(97, 12, 2, draws=10, seed=9001) >= 5000
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"substrate checks took {elapsed:.1f}s"
 
 
 def test_tmatrix_suite_full_sweep():
-    seen = 0
-    for f in strict_sweep():
-        D = f.D
-        d0 = Fraction(f.delta.x, f.delta.den)
-        d1 = Fraction(f.delta.y, f.delta.den)
-        for m in range(1, 21):
-            for n in range(1, isqrt(m * m * f.dtilde - 1) + 1):
-                N = m * m * f.dtilde - n * n
-                if N % D:
-                    continue
-                mus = mu_candidates(f, m, n)  # raises if uniqueness fails
-                assert len(mus) == (2 if n % D == 0 else 1)
-                for mu in mus:
-                    T = t_matrix(f, m, n, mu)
-                    assert T.det == Fraction(N, D * m * m)
-                    assert T.a > 0 and T.det > 0
-                    for v in T.entries:
-                        assert (m * v).denominator == 1
-                    assert 2 * mu * Fraction(n, m) - D * T.c == 2 * d0
-                    assert 2 * T.b + D * T.c == -2 * d1
-                    seen += 1
-    assert seen >= 1000
+    assert check_tmatrix_laws(strict_sweep(), 20) >= 1000
 
 
 def test_valuation_consistency_bulk():

@@ -10,21 +10,18 @@ from cmint.applications import (
 from cmint.cmfield import build_cm_field
 from cmint.errors import InputError
 from cmint.quadfield import QuadElem, QuadField
+from cmint.selfcheck import worked_field
 
 F5 = QuadField(5)
 
 
-def field41():
-    return build_cm_field(5, QuadElem(F5, -13, 1, 2))
-
-
 def test_humbert_worked_instance():
-    f = field41()
+    f = worked_field()
     assert humbert_intersection(f, 1).as_dict() == {2: Fraction(1)}
 
 
 def test_humbert_rejects_square_discriminant_product():
-    f = field41()
+    f = worked_field()
     with pytest.raises(InputError):
         humbert_intersection(f, 5)  # D·m = 25
     with pytest.raises(InputError):
@@ -32,7 +29,7 @@ def test_humbert_rejects_square_discriminant_product():
 
 
 def test_humbert_sums_indices():
-    f = field41()
+    f = worked_field()
     # D·m = 20: n ∈ {2, 4} give indices (20−4)/4 = 4 and (20−16)/4 = 1
     from cmint.bm import bm_full
 
@@ -41,7 +38,7 @@ def test_humbert_sums_indices():
 
 
 def test_bad_reduction_worked_instance():
-    cert = bad_reduction_primes(field41())
+    cert = bad_reduction_primes(worked_field())
     assert cert.indices == (1,)
     assert cert.bad_primes == (2,)
     assert cert.per_prime == ((2, 2),)
@@ -64,7 +61,7 @@ def test_bad_reduction_other_discriminants():
 
 
 def test_igusa_worked_instance():
-    got = igusa_denominator_bounds(field41())
+    got = igusa_denominator_bounds(worked_field())
     assert got == {"A1": {2: 12}, "A2": {2: 8}, "A3": {2: 8}}
 
 

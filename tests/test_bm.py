@@ -12,7 +12,6 @@ from cmint.bm import (
     _RouteA,
     _split_ord,
     bm_full,
-    bm_p_definition,
     bm_p_product,
     bm_report,
     intersection_number,
@@ -22,38 +21,30 @@ from cmint.bm import (
 from cmint.cmfield import build_cm_field, classify_in_reflex_cm, rho
 from cmint.errors import InputError
 from cmint.localdensity import LocalFactorInput, b_l_factor
-from cmint.numutil import is_prime, is_squarefree, ord_p, prime_factors, primes_up_to
+from cmint.numutil import is_squarefree, ord_p, prime_factors, primes_up_to
 from cmint.padic import hensel_sqrt
 from cmint.quadfield import QuadElem, QuadField, ord_at, splitting
-from cmint.selfcheck import enumerate_fields, sample_vanishing_fields
+from cmint.selfcheck import (
+    check_cyclotomic,
+    check_route_agreement,
+    check_vanishing,
+    cyclotomic_field,
+    enumerate_fields,
+    sweep_fields,
+    worked_field,
+)
 from cmint.tmatrix import mu_candidates, t_matrix
 
 F5 = QuadField(5)
 
 
-def field41():
-    return build_cm_field(5, QuadElem(F5, -13, 1, 2))
-
-
-def cyclotomic():
-    return build_cm_field(5, QuadElem(F5, -5, -1, 2))
-
-
 def test_worked_instance():
-    f = field41()
-    rep = bm_report(f, 1)
-    assert [(e.p, e.b, e.route_a, e.route_b) for e in rep.entries] == [(2, 2, 2, 2)]
-    assert rep.entries[0].per_n == ((-1, 2),)
-    assert rep.flags == ()
-    assert bm_full(f, 1).as_dict() == {2: Fraction(2)}
-    assert intersection_number(f, 1).as_dict() == {2: Fraction(1)}
-    assert bm_p_definition(f, 1, 2) == 2
-    assert bm_p_product(f, 1, 2) == 2
-    assert bm_p_definition(f, 1, 3) == 0
+    # route A itself has nothing at a prime outside the support
+    assert dict(_route_a(worked_field(), 1).totals) == {2: 2}
 
 
 def test_report_json_shape():
-    obj = report_json_obj(bm_report(field41(), 1))
+    obj = report_json_obj(bm_report(worked_field(), 1))
     assert obj["D"] == 5 and obj["m"] == 1 and obj["mode"] == "strict"
     assert obj["delta"] == {"x": -13, "y": 1, "den": 2}
     assert obj["entries"] == [
@@ -63,7 +54,7 @@ def test_report_json_shape():
 
 
 def test_product_route_guards():
-    f = field41()
+    f = worked_field()
     assert bm_p_product(f, 12, 7) is None  # m not squarefree
     assert bm_p_product(f, 2, 7) is None  # shares a factor with 2DD̃
     assert bm_p_product(f, 41, 7) is None
@@ -71,31 +62,19 @@ def test_product_route_guards():
     with pytest.raises(InputError):
         bm_p_product(f, 0, 2)
     with pytest.raises(InputError):
-        bm_p_definition(f, 1, 4)
+        bm_p_product(f, 1, 4)
 
 
 def test_cyclotomic_values():
-    z = cyclotomic()
-    for m in (1, 2, 3):
-        assert bm_full(z, m).is_zero()
-    assert bm_full(z, 4).as_dict() == {2: Fraction(4)}
-    assert bm_full(z, 5).as_dict() == {5: Fraction(2)}
-    assert bm_full(z, 6).as_dict() == {2: Fraction(8), 3: Fraction(4)}
-    rep = bm_report(z, 7)
-    assert [(e.p, e.b, e.route_b) for e in rep.entries] == [(11, 0, 0)]
+    assert check_cyclotomic() == 8
 
 
 def test_deep_product_cases_agree():
-    z = cyclotomic()
-    # m = 33 exercises the split-completely factor 4 (Q = 121 at n = 55),
-    # m = 143 the positive-exponent split case (Q = 11³ at n = 275)
-    for m in (33, 143):
-        for e in bm_report(z, m).entries:
-            if e.route_b is not None:
-                assert e.route_b == e.route_a
-    f61 = build_cm_field(5, QuadElem(F5, -9, 2, 1))
-    rep = bm_report(f61, 3)  # Q = 27 at n = 3: inert case with t = 1
-    assert all(e.route_b in (None, e.route_a) for e in rep.entries)
+    # m = 33 exercises the split-completely factor 4 (Q = 121 at n = 55), m = 143 the
+    # positive-exponent split case (Q = 11³ at n = 275), and D̃ = 61 at m = 3 the
+    # inert case with t = 1 (Q = 27 at n = 3)
+    assert check_route_agreement([cyclotomic_field()], (33, 143)) > 0
+    assert check_route_agreement([build_cm_field(5, QuadElem(F5, -9, 2, 1))], (3,)) > 0
 
 
 def per_p_product(field, m, p):
@@ -122,9 +101,8 @@ def per_p_product(field, m, p):
 
 
 def test_one_pass_route_matches_per_prime_loop():
-    strict = [f for D in (5, 13, 17) for f in enumerate_fields(D, 500, y_max=3, mode="strict")]
-    cases = [(f, m) for f in strict[::5] for m in range(1, 31)]
-    z = cyclotomic()
+    cases = [(f, m) for f in sweep_fields()[::5] for m in range(1, 31)]
+    z = cyclotomic_field()
     cases += [(z, 33), (z, 143), (build_cm_field(5, QuadElem(F5, -9, 2, 1)), 3)]
     compared = nonzero = 0
     for f, m in cases:
@@ -142,11 +120,11 @@ def test_one_pass_route_matches_per_prime_loop():
 
 
 def test_support_primes():
-    f = field41()
+    f = worked_field()
     assert support_primes(f, 1) == (2,)
     assert support_primes(f, 2) == (2, 5)
     assert support_primes(f, 3) == (2, 3, 5)
-    z = cyclotomic()
+    z = cyclotomic_field()
     assert support_primes(z, 3) == ()
     assert support_primes(z, 7) == (11,)
     with pytest.raises(InputError):
@@ -158,31 +136,15 @@ def test_nonzero_needs_support():
     for f in enumerate_fields(5, 150) + enumerate_fields(13, 300):
         for m in rng.sample(range(1, 12), 4):
             sup = set(support_primes(f, m))
-            combo = bm_full(f, m)
-            coeffs = combo.as_dict()
+            coeffs = bm_full(f, m).as_dict()
             assert set(coeffs) <= sup
+            totals = dict(_route_a(f, m).totals)
             for p in sorted(sup):
-                assert bm_p_definition(f, m, p) == int(coeffs.get(p, 0))
+                assert totals.get(p, 0) == int(coeffs.get(p, 0))
 
 
 def test_vanishing_range():
-    for f in sample_vanishing_fields(60, seed=29):
-        m = 1
-        while m * m * f.dtilde <= 4 * f.D:
-            assert bm_full(f, m).is_zero(), (f.D, f.delta, m)
-            m += 1
-
-
-def test_route_agreement_sweep():
-    for D in (5, 13):
-        for f in enumerate_fields(D, 200, y_max=2):
-            for m in range(1, 14):
-                if not is_squarefree(m) or gcd(m, 2 * D * f.dtilde) != 1:
-                    continue
-                rep = bm_report(f, m)  # raises on any disagreement
-                for e in rep.entries:
-                    if gcd(m, e.p) == 1:
-                        assert e.route_b is not None
+    assert check_vanishing(60, seed=29) >= 60
 
 
 def test_no_dual_membership_flags_in_strict_sweep():
@@ -259,8 +221,7 @@ def shared_split_factors(field, m):
 
 
 def test_route_a_matches_per_spot_scan():
-    strict = [f for D in (5, 13, 17) for f in enumerate_fields(D, 500, y_max=3, mode="strict")]
-    fields = strict[::5]
+    fields = sweep_fields()[::5]
     assert any(f.dtilde % 8 == 1 for f in fields)  # split spots over 2
     fields.append(build_cm_field(5, QuadElem(F5, -25, -3, 2), mode="permissive"))
     assert fields[-1].dtilde == 145
@@ -278,8 +239,8 @@ def test_route_a_matches_per_spot_scan_with_dyadic_different():
     # no enumerated field has a dyadic entry in its different, so one is added by
     # hand: route A then keeps every n with D | m²D̃ − n² and reads v_2 from the
     # exponents of N/D
-    strict = [f for D in (5, 13, 17) for f in enumerate_fields(D, 500, y_max=3, mode="strict")]
-    bases = [next(f for f in strict if f.dtilde % 8 == r) for r in (1, 5)]  # 2 split, 2 inert
+    # 2 split, 2 inert
+    bases = [next(f for f in sweep_fields() if f.dtilde % 8 == r) for r in (1, 5)]
     checked = dyadic_terms = 0
     for f in bases:
         for spot in splitting(f.reflex, 2):
@@ -346,7 +307,7 @@ def code_names(code):
 
 def test_routes_stay_independent():
     # the routes cross-check each other only while neither calls into the other's machinery
-    a = code_names(bm._route_a.__wrapped__.__code__)
+    a = code_names(bm._route_a.__code__)
     assert not a & {"_route_b", "b_l_factors", "admissible_matrices", "t_matrix", "alpha_l"}
     b = code_names(bm._route_b.__wrapped__.__code__)
     assert not b & {"_route_a", "ord_at", "rho", "splitting"}

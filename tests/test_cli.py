@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import time
 
 import pytest
 
 import cmint.cli as cli
+from cmint import selfcheck
 from cmint.errors import InternalConsistencyError
 
 
@@ -209,6 +211,21 @@ def test_warm_single_m_reads_only_its_file(tmp_path, cache_dir, capsys, monkeypa
     assert cache_files(cache_dir) == before
 
 
+@pytest.mark.parametrize("command", ["bm", "intersect"])
+def test_unwritable_cache_dir_still_prints(tmp_path, monkeypatch, capsys, command):
+    field = write_field(tmp_path / "f.json")
+    argv = [command, "--field", field, "--m", "1-2"]
+    assert cli.run(argv + ["--no-cache"]) == 0
+    want = capsys.readouterr().out
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    monkeypatch.setenv("CMINT_CACHE_DIR", str(blocker))
+    assert cli.run(argv) == 0
+    out = capsys.readouterr()
+    assert out.out == want and out.err == ""
+    assert blocker.read_text() == ""
+
+
 def test_missing_field_file(tmp_path, capsys):
     assert cli.run(["bm", "--field", str(tmp_path / "nope.json"), "--m", "1"]) == 2
     err = json.loads(capsys.readouterr().err)
@@ -279,9 +296,39 @@ def test_badprimes_and_igusa_commands(tmp_path, capsys):
     assert payload["A2"] == payload["A3"] == {"2": 8}
 
 
+SMALL_CHECKS = [
+    "hilbert-product-formula", "hensel-roundtrip", "worked-instance", "cyclotomic-vanishing",
+    "t-matrix-laws", "route-agreement", "cache-roundtrip",
+]
+
+
 def test_selfcheck_small(capsys):
     assert cli.run(["selfcheck", "--suite", "small"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
-    names = {c["name"] for c in payload["checks"]}
-    assert "worked-instance" in names and "route-agreement" in names
+    assert [c["name"] for c in payload["checks"]] == SMALL_CHECKS
+
+
+def test_selfcheck_suite_layout():
+    # the wide checks run at full scale in the acceptance tests, so the full
+    # suite's names and order are read off the table run_suite walks
+    assert [name for name, _ in selfcheck.SUITES["small"]] == SMALL_CHECKS
+    full = SMALL_CHECKS + ["route-agreement-wide", "vanishing-range"]
+    assert [name for name, _ in selfcheck.SUITES["full"]] == full
+
+
+def test_selfcheck_reports_route_disagreement(monkeypatch, capsys):
+    real = selfcheck.bm_report
+
+    def skewed(field, m):
+        rep = real(field, m)
+        bumped = [dataclasses.replace(e, route_a=e.route_a + 1) for e in rep.entries]
+        return dataclasses.replace(rep, entries=tuple(bumped))
+
+    monkeypatch.setattr(selfcheck, "bm_report", skewed)
+    assert cli.run(["selfcheck", "--suite", "small"]) == 3
+    out = capsys.readouterr()
+    assert out.err == ""
+    checks = {c["name"]: c for c in json.loads(out.out)["checks"]}
+    assert checks["route-agreement"]["ok"] is False
+    assert "route disagreement" in checks["route-agreement"]["detail"]

@@ -11,20 +11,13 @@ from cmint.cmfield import (
 )
 from cmint.errors import FieldRejected, InputError
 from cmint.quadfield import QuadElem, QuadField, elem_div_exact, elem_norm, splitting
+from cmint.selfcheck import cyclotomic_field, worked_field
 
 F5 = QuadField(5)
 
 
-def field41():
-    return build_cm_field(5, QuadElem(F5, -13, 1, 2))
-
-
-def cyclotomic():
-    return build_cm_field(5, QuadElem(F5, -5, -1, 2))
-
-
 def test_build_example():
-    f = field41()
+    f = worked_field()
     assert f.D == 5
     assert f.dtilde == 41
     assert f.delta_tilde == QuadElem(QuadField(41), -13, 2, 1)
@@ -39,7 +32,7 @@ def test_build_example():
 
 
 def test_build_cyclotomic():
-    f = cyclotomic()
+    f = cyclotomic_field()
     assert f.dtilde == 5
     assert f.w_k == 10
     assert f.delta_tilde == QuadElem(F5, -5, 2, 1)
@@ -50,8 +43,8 @@ def test_build_cyclotomic():
 def test_w_criterion_on_known_generators():
     # both fields admit an order generator w with (w² − Δ)/4 integral
     for f, w in (
-        (field41(), QuadElem(F5, 1, 1, 2)),
-        (cyclotomic(), QuadElem(F5, -1, 1, 2)),
+        (worked_field(), QuadElem(F5, 1, 1, 2)),
+        (cyclotomic_field(), QuadElem(F5, -1, 1, 2)),
     ):
         assert elem_div_exact(w * w - f.delta, 4) is not None
         assert elem_div_exact(f.w * f.w - f.delta, 4) is not None
@@ -97,7 +90,7 @@ def test_strict_requires_prime_norm():
 
 
 def test_classification_oracles():
-    f = field41()
+    f = worked_field()
     Ft = f.reflex
     got = {}
     for l in (2, 3, 5, 11):
@@ -111,7 +104,7 @@ def test_classification_oracles():
         (5, 4): "ramified",
         (11, None): "split",
     }
-    z = cyclotomic()
+    z = cyclotomic_field()
     gz = {}
     for l in (2, 5, 11, 19):
         for s in splitting(z.reflex, l):
@@ -127,14 +120,14 @@ def test_classification_oracles():
 
 
 def test_classification_rejects_wrong_field():
-    f = field41()
+    f = worked_field()
     (s,) = splitting(F5, 2)
     with pytest.raises(InputError):
         classify_in_reflex_cm(f, s)
 
 
 def test_rho():
-    f = field41()
+    f = worked_field()
     Ft = f.reflex
     two_inert, two_split = splitting(Ft, 2)  # labels 1 (inert), 3 (split)
     five_split, five_ram = splitting(Ft, 5)
@@ -152,7 +145,7 @@ def test_rho():
 
 def test_square_class_invariance():
     rng = random.Random(17)
-    f = field41()
+    f = worked_field()
     Ft = f.reflex
     spots = [s for l in (2, 3, 5, 11, 41) for s in splitting(Ft, l)]
     for _ in range(60):

@@ -15,21 +15,14 @@ from cmint.localdensity import (
 from cmint.numutil import ord_p, prime_factors, primes_up_to
 from cmint.padic import hilbert, kronecker
 from cmint.quadfield import QuadElem, QuadField
+from cmint.selfcheck import cyclotomic_field, worked_field
 from cmint.tmatrix import TMatrix, mu_candidates, t_matrix
 
 F5 = QuadField(5)
 
 
-def field41():
-    return build_cm_field(5, QuadElem(F5, -13, 1, 2))
-
-
-def cyclotomic():
-    return build_cm_field(5, QuadElem(F5, -5, -1, 2))
-
-
 def test_alpha_unit_classes():
-    T = t_matrix(field41(), 1, 1, 1)  # [[24, -8], [-8, 3]]
+    T = t_matrix(worked_field(), 1, 1, 1)  # [[24, -8], [-8, 3]]
     a2 = alpha_l(T, 2)
     assert a2 % 2 == 1
     assert hilbert(-a2, 2, 2) == -1  # the class of -3 mod squares
@@ -88,16 +81,16 @@ def test_alpha_closed_form_matches_box_search():
 
 
 def test_alpha_rejects():
-    T = t_matrix(field41(), 1, 1, 1)
+    T = t_matrix(worked_field(), 1, 1, 1)
     with pytest.raises(InputError):
         alpha_l(T, 4)
-    frac = t_matrix(cyclotomic(), 3, 5, 1)  # entries have denominator 3
+    frac = t_matrix(cyclotomic_field(), 3, 5, 1)  # entries have denominator 3
     with pytest.raises(InputError):
         alpha_l(frac, 3)
 
 
 def test_worked_local_factor():
-    f = field41()
+    f = worked_field()
     T = t_matrix(f, 1, 1, 1)
     # l = p = 2, t_2 = 1: (1 − (−α, 2)^t)/2 with (−3, 2) = −1 gives 1
     assert b_l_factor(LocalFactorInput(f, T, 2, 2, 1)) == 1
@@ -106,7 +99,7 @@ def test_worked_local_factor():
 
 
 def test_factor_case_l_not_dividing_m():
-    f = field41()
+    f = worked_field()
     # m=3, n=7: Q = 16, l = p = 2 ∤ m, t_2 = 4 even: the p-factor vanishes
     T7 = t_matrix(f, 3, 7, -1)
     assert b_l_factor(LocalFactorInput(f, T7, 2, 2, 4)) == 0
@@ -124,8 +117,8 @@ def test_factor_case_l_not_dividing_m():
 
 
 def test_factor_cases_l_dividing_m():
-    f = field41()
-    z = cyclotomic()
+    f = worked_field()
+    z = cyclotomic_field()
     # t=0, l inert in the reflex field with inert spot above: factor 0
     T = t_matrix(f, 3, 3, 1)  # Q = 18, 3 | m
     assert b_l_factor(LocalFactorInput(f, T, 2, 3, 0)) == 0
@@ -145,7 +138,7 @@ def test_factor_cases_l_dividing_m():
 
 def test_beta_matches_b_up_to_factor_two():
     checked = 0
-    for f in (field41(), cyclotomic()):
+    for f in (worked_field(), cyclotomic_field()):
         for q in (11, 19, 29):
             if kronecker(f.D, q) != 1 or f.dtilde % q == 0:
                 continue
@@ -170,7 +163,7 @@ def test_beta_matches_b_up_to_factor_two():
 
 
 def test_beta_guards():
-    f = field41()
+    f = worked_field()
     T = t_matrix(f, 1, 1, 1)
     with pytest.raises(InputError):
         beta_l_factor(f, T, 4, 2, 2)  # m must be an odd prime split in F

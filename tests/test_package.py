@@ -26,7 +26,10 @@ def test_every_lru_cache_is_bounded():
         "cmint.quadfield._splitting",
         "cmint.quadfield._root_for_spot",
         "cmint.numutil.factorize",
-        "cmint.bm._route_a",
+        "cmint.bm._route_b",
+        "cmint.bm.support_primes",
+        "cmint.bm.bm_report",
     } <= caches.keys()
+    assert "cmint.bm._route_a" not in caches  # its one caller, bm_report, is cached
     unbounded = sorted(n for n, fn in caches.items() if fn.cache_parameters()["maxsize"] is None)
     assert unbounded == []

@@ -1,26 +1,14 @@
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 
-from cmint.cmfield import build_cm_field
 from cmint.errors import InputError
-from cmint.quadfield import QuadElem, QuadField
+from cmint.selfcheck import cyclotomic_field, worked_field
 from cmint.tmatrix import mu_candidates, t_matrix
-
-F5 = QuadField(5)
-
-
-def field41():
-    return build_cm_field(5, QuadElem(F5, -13, 1, 2))
-
-
-def cyclotomic():
-    return build_cm_field(5, QuadElem(F5, -5, -1, 2))
 
 
 def test_worked_matrix():
-    f = field41()
+    f = worked_field()
     T = t_matrix(f, 1, 1, 1)
     assert T.entries == (Fraction(24), Fraction(-8), Fraction(3))
     assert T.det == 8  # (m²D̃ − n²)/(D·m²) = 40/5
@@ -29,7 +17,7 @@ def test_worked_matrix():
 
 
 def test_cyclotomic_matrices_both_signs():
-    f = cyclotomic()
+    f = cyclotomic_field()
     plus = t_matrix(f, 3, 5, 1)
     minus = t_matrix(f, 3, 5, -1)
     assert plus.entries == (Fraction(25, 3), Fraction(-11, 3), Fraction(5, 3))
@@ -39,7 +27,7 @@ def test_cyclotomic_matrices_both_signs():
 
 
 def test_input_validation():
-    f = field41()
+    f = worked_field()
     with pytest.raises(InputError):
         t_matrix(f, 0, 1, 1)
     with pytest.raises(InputError):
@@ -50,39 +38,9 @@ def test_input_validation():
         t_matrix(f, 1, 2, 1)  # D does not divide m²D̃ − n²
 
 
-def test_matrix_laws_sweep():
-    for f in (field41(), cyclotomic()):
-        D, Dt = f.D, f.dtilde
-        two_d0 = 2 * Fraction(f.delta.x, f.delta.den)
-        two_d1 = 2 * Fraction(f.delta.y, f.delta.den)
-        for m in range(1, 9):
-            for n in range(1, isqrt(m * m * Dt - 1) + 1):
-                if (m * m * Dt - n * n) % D:
-                    continue
-                mus = mu_candidates(f, m, n)
-                assert len(mus) == (2 if n % D == 0 else 1)
-                for mu in mus:
-                    T = t_matrix(f, m, n, mu)
-                    assert T is not None
-                    a, b, c = T.entries
-                    assert a > 0
-                    assert T.det == Fraction(m * m * Dt - n * n, D * m * m)
-                    # the defining congruences for half-integral coefficients
-                    assert 2 * mu * Fraction(n, m) - D * c == two_d0
-                    assert 2 * b + D * c == -two_d1
-                    # the matrix is m-integral
-                    assert (m * a).denominator == 1
-                    assert (m * b).denominator == 1
-                    assert (m * c).denominator == 1
-                # the inadmissible sign is genuinely inadmissible
-                for mu in (1, -1):
-                    if mu not in mus:
-                        assert t_matrix(f, m, n, mu) is None
-
-
 def test_rescaling_identity():
     # the matrix depends only on n/m and μ: T at (m, n) equals T at (m/l, n/l)
-    f = cyclotomic()
+    f = cyclotomic_field()
     for (m, n, l) in ((3, 5, 1), (6, 10, 2), (15, 25, 5), (10, 10, 2)):
         for mu in mu_candidates(f, m, n):
             big = t_matrix(f, m, n, mu)
