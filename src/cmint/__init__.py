@@ -25,7 +25,7 @@ from .cmfield import (
 from .errors import CmintError, FieldRejected, InputError, InternalConsistencyError
 from .logcombo import LogCombo
 from .quadfield import PrimeSpot, QuadElem, QuadField, elem_norm, ord_at, splitting
-from .tmatrix import TMatrix, mu_candidates, t_matrix
+from .tmatrix import TMatrix, t_matrix
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "humbert_intersection",
     "igusa_denominator_bounds",
     "intersection_number",
-    "mu_candidates",
     "ord_at",
     "relative_different",
     "rho",

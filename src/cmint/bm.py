@@ -182,7 +182,6 @@ def _route_a(field: CMFieldData, m: int) -> _RouteA:
     )
 
 
-@lru_cache(maxsize=4096)
 def support_primes(field: CMFieldData, m: int) -> tuple[int, ...]:
     """Primes dividing (m²D̃ − n²)/(4D) for some 0 <= n < m√D̃."""
     if m < 1:
@@ -238,6 +237,8 @@ def bm_p_product(field: CMFieldData, m: int, p: int) -> int | None:
 @lru_cache(maxsize=4096)
 def bm_report(field: CMFieldData, m: int) -> BmReport:
     """Both routes for every support prime, cross-checked."""
+    if m < 1:
+        raise InputError("need m >= 1")
     ra = _route_a(field, m)
     totals = dict(ra.totals)
     support = support_primes(field, m)

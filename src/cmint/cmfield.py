@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .errors import FieldRejected, InputError, InternalConsistencyError
 from .numutil import is_perfect_square, is_prime, is_squarefree, ord_p, prime_factors
-from .padic import legendre, unit_part_mod, val
+from .padic import kronecker, unit_part_mod, val
 from .quadfield import (
     PrimeSpot,
     QuadElem,
@@ -122,7 +122,7 @@ def _square_class_kind(elem: QuadElem, spot: PrimeSpot) -> str:
             u %= 8
             return "split" if u == 1 else ("inert" if u == 5 else "ramified")
         u = u * pow(elem.den, -1, l) % l
-        return "split" if legendre(u, l) == 1 else "inert"
+        return "split" if kronecker(u, l) == 1 else "inert"
     if spot.kind == "inert":
         if v % 2:
             return "ramified"
@@ -146,7 +146,7 @@ def _square_class_kind(elem: QuadElem, spot: PrimeSpot) -> str:
     if x0 == 0 or val(x0, l) != 0:
         raise InternalConsistencyError("ramified unit-part extraction failed")
     r = unit_part_mod(x0, l, l)
-    return "split" if legendre(r, l) == 1 else "inert"
+    return "split" if kronecker(r, l) == 1 else "inert"
 
 
 def _relative_different(delta_tilde: QuadElem, mode: str) -> tuple[tuple[PrimeSpot, int], ...]:

@@ -3,32 +3,22 @@
 `b_l_factors` evaluates the local factor at l of one (n, μ) term of the
 product-formula route for every prime p at once: p enters only through
 whether l = p, so the factor is returned as the pair (value if l = p, value
-if l ≠ p), and `b_l_factor` picks one of the two for a given p.
-`beta_l_factor` evaluates the corresponding local Whittaker value for the
-isogeny-counting variant (m = q an odd prime split in the real quadratic
-base). The two are related by a factor of 2 at l = p and agree elsewhere;
-tests exploit that.
+if l ≠ p). It reads the Hilbert symbol (−α, l)_l of the unit α = `alpha_l`
+as the Kronecker symbol (−α | l). `beta_l_factor` evaluates the
+corresponding local Whittaker value for the isogeny-counting variant (m = q
+an odd prime split in the real quadratic base) with `hilbert` itself. The two
+are related by a factor of 2 at l = p and agree elsewhere; tests exploit
+that, and so also check the symbol identity.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .cmfield import CMFieldData, classify_in_reflex_cm
 from .errors import InputError, InternalConsistencyError
 from .numutil import is_prime, ord_p
 from .padic import hilbert, kronecker
 from .quadfield import splitting
-from .tmatrix import TMatrix, t_matrix
-
-
-@dataclass(frozen=True)
-class LocalFactorInput:
-    field: CMFieldData
-    T: TMatrix
-    p: int
-    l: int
-    t_l: int
+from .tmatrix import TMatrix
 
 
 def alpha_l(T: TMatrix, l: int) -> int:
@@ -53,30 +43,16 @@ def alpha_l(T: TMatrix, l: int) -> int:
     raise InternalConsistencyError(f"no unit represented mod {modulus}")
 
 
-def _rescaled_alpha(field: CMFieldData, T: TMatrix, l: int) -> int:
-    """alpha_l of the level-(m/l) matrix; it equals T entrywise, and the
-    lower-level admissibility certificate is guaranteed structurally."""
-    T1 = t_matrix(field, T.m // l, T.n // l, T.mu)
-    if T1 is None:
-        raise InternalConsistencyError("rescaled matrix lost admissibility")
-    if T1.entries != T.entries:
-        raise InternalConsistencyError("rescaled matrix changed entries")
-    return alpha_l(T1, l)
-
-
-def _split_completely_in_reflex_cm(field: CMFieldData, l: int) -> bool:
-    if kronecker(field.dtilde, l) != 1:
-        return False
-    return all(
-        classify_in_reflex_cm(field, s) == "split" for s in splitting(field.reflex, l)
-    )
-
-
-def _inert_then_split(field: CMFieldData, l: int) -> bool:
-    if kronecker(field.dtilde, l) != -1:
-        return False
-    (spot,) = splitting(field.reflex, l)
-    return classify_in_reflex_cm(field, spot) == "split"
+def _reflex_split_factor(field: CMFieldData, l: int) -> int:
+    """The factor at l | m with t_l = 0: 4 when l splits in F̃ and every spot
+    over l splits in K̃, 2 when l is inert in F̃ and its spot splits in K̃,
+    else 0."""
+    k = kronecker(field.dtilde, l)
+    if k == 0 or any(
+        classify_in_reflex_cm(field, s) != "split" for s in splitting(field.reflex, l)
+    ):
+        return 0
+    return 4 if k == 1 else 2
 
 
 def b_l_factors(field: CMFieldData, T: TMatrix, l: int, t_l: int) -> tuple[int, int]:
@@ -89,33 +65,23 @@ def b_l_factors(field: CMFieldData, T: TMatrix, l: int, t_l: int) -> tuple[int, 
     m = T.m
     if t_l < 0:
         raise InputError("t_l must be nonnegative for a factor of the product")
+    if m % l == 0 and t_l == 0:
+        v = _reflex_split_factor(field, l)
+        return v, v
+    h = kronecker(-alpha_l(T, l), l)  # (−α, l)_l for the unit α
     if m % l:
-        h = hilbert(-alpha_l(T, l), l, l)
         at_p = (1 - h) // 2 if t_l % 2 else 0
         if h == 1:
             return at_p, t_l + 1
         return at_p, 1 if t_l % 2 == 0 else 0
-    if t_l == 0:
-        if _split_completely_in_reflex_cm(field, l):
-            return 4, 4
-        if _inert_then_split(field, l):
-            return 2, 2
-        return 0, 0
-    al = _rescaled_alpha(field, T, l)
     kD = kronecker(field.D, l)
     if kD == 1:
-        v = 0 if hilbert(-al, l, l) == -1 else 2 * (t_l + 2)
+        v = 0 if h == -1 else 2 * (t_l + 2)
     elif kD == -1:
-        v = (2 if t_l % 2 else 0) if hilbert(-al, l, l) == -1 else 0
+        v = (2 if t_l % 2 else 0) if h == -1 else 0
     else:
         raise InternalConsistencyError("l | m must be unramified in the base field")
     return v, v
-
-
-def b_l_factor(inp: LocalFactorInput) -> int:
-    """The local factor at l of one (n, μ) term of the product formula."""
-    at_p, off_p = b_l_factors(inp.field, inp.T, inp.l, inp.t_l)
-    return at_p if inp.l == inp.p else off_p
 
 
 def beta_l_factor(field: CMFieldData, T: TMatrix, q: int, p: int, l: int) -> int:
@@ -143,12 +109,7 @@ def beta_l_factor(field: CMFieldData, T: TMatrix, q: int, p: int, l: int) -> int
         return 1
     t_q = ord_p(Q4, q) - 2
     if t_q == 0:
-        if _split_completely_in_reflex_cm(field, q):
-            return 4
-        if _inert_then_split(field, q):
-            return 2
-        return 0
+        return _reflex_split_factor(field, q)
     if t_q < 0:
         raise InternalConsistencyError("q | n forces t_q >= 0")
-    al = _rescaled_alpha(field, T, q)
-    return 0 if hilbert(-al, q, q) == -1 else 2 * (t_q + 2)
+    return 0 if hilbert(-alpha_l(T, q), q, q) == -1 else 2 * (t_q + 2)

@@ -30,16 +30,6 @@ def unit_part_mod(x: Rational, l: int, modulus: int) -> int:
     return num * pow(den, -1, modulus) % modulus
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) in {-1, 0, 1}; p must be an odd prime."""
-    if p == 2 or not is_prime(p):
-        raise InputError(f"legendre needs an odd prime, got p={p}")
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a|n) for n != 0."""
     if n == 0:
@@ -91,9 +81,9 @@ def hilbert(a: Rational, b: Rational, place: int | str) -> int:
     v = unit_part_mod(fb, p, p)
     s = -1 if (al * be * ((p - 1) // 2)) % 2 else 1
     if be % 2:
-        s *= legendre(u, p)
+        s *= kronecker(u, p)
     if al % 2:
-        s *= legendre(v, p)
+        s *= kronecker(v, p)
     return s
 
 
@@ -113,7 +103,7 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
         q //= 2
         s += 1
     z = 2
-    while legendre(z, p) != -1:
+    while kronecker(z, p) != -1:
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
@@ -156,7 +146,7 @@ def hensel_sqrt(a: Rational, l: int, k: int) -> int | None:
                 raise InternalConsistencyError("dyadic square-root lift failed")  # pragma: no cover
         return r
     am = unit_part_mod(a, l, l)
-    if legendre(am, l) != 1:
+    if kronecker(am, l) != 1:
         return None
     r = _sqrt_mod_prime(am, l)
     r = min(r, l - r)

@@ -27,9 +27,9 @@ from .bm import bm_full, bm_report, intersection_number, report_json_obj
 from .cmfield import CMFieldData, build_cm_field
 from .errors import FieldRejected, InternalConsistencyError
 from .numutil import is_squarefree, prime_factors, primes_up_to
-from .padic import hensel_sqrt, hilbert, legendre
+from .padic import hensel_sqrt, hilbert, kronecker
 from .quadfield import QuadElem, QuadField
-from .tmatrix import mu_candidates, t_matrix
+from .tmatrix import admissible_matrices
 
 
 def enumerate_fields(D: int, dtilde_max: int, y_max: int = 3) -> list[CMFieldData]:
@@ -142,28 +142,21 @@ def check_tmatrix_laws(fields: Iterable[CMFieldData], m_max: int) -> int:
                 N = m * m * f.dtilde - n * n
                 if N % D:
                     continue
-                mus = mu_candidates(f, m, n)  # raises if uniqueness fails
-                if len(mus) != (2 if n % D == 0 else 1):
-                    raise InternalConsistencyError(f"signs {mus} at m={m}, n={n}, D={D}")
-                for mu in (1, -1):
-                    T = t_matrix(f, m, n, mu)
-                    if mu not in mus:
-                        ok = T is None
-                    else:
-                        ok = T is not None and (
-                            T.a > 0
-                            and T.det > 0
-                            and T.det == Fraction(N, D * m * m)
-                            # the defining congruences for half-integral coefficients
-                            and 2 * mu * Fraction(n, m) - D * T.c == two_d0
-                            and 2 * T.b + D * T.c == -two_d1
-                            and all((m * v).denominator == 1 for v in T.entries)
-                        )
+                for T in admissible_matrices(f, m, n):  # raises if the sign rule fails
+                    ok = (
+                        T.a > 0
+                        and T.det > 0
+                        and T.det == Fraction(N, D * m * m)
+                        # the defining congruences for half-integral coefficients
+                        and 2 * T.mu * Fraction(n, m) - D * T.c == two_d0
+                        and 2 * T.b + D * T.c == -two_d1
+                        and all((m * v).denominator == 1 for v in T.entries)
+                    )
                     if not ok:
                         raise InternalConsistencyError(
-                            f"T = {T} at m={m}, n={n}, mu={mu}, D={D}, delta={f.delta}"
+                            f"T = {T} at m={m}, n={n}, D={D}, delta={f.delta}"
                         )
-                    seen += T is not None
+                    seen += 1
     return seen
 
 
@@ -191,7 +184,7 @@ def check_hensel(l_max: int, k_max: int, a_max: int, draws: int = 0, seed: int =
     below a_max, l^k − 1 or one of `draws` random ones, and for a² mod l^k.
 
     A root lies in (0, l^k), squares it to a and lifts stably to l^(k+1). A missing
-    root is confirmed by brute force up to l^k = 2048, else by Legendre or mod 8;
+    root is confirmed by brute force up to l^k = 2048, else by the Kronecker symbol or mod 8;
     a² must get one. Returns the number of (a, l, k) checked.
     """
     rng = random.Random(seed)
@@ -210,7 +203,7 @@ def check_hensel(l_max: int, k_max: int, a_max: int, draws: int = 0, seed: int =
                         if squares is not None:
                             has_root = b in squares
                         else:
-                            has_root = b % 8 == 1 if l == 2 else legendre(b, l) == 1
+                            has_root = b % 8 == 1 if l == 2 else kronecker(b, l) == 1
                         if has_root or square:
                             raise InternalConsistencyError(f"missed root of {b} mod {l}^{k}")
                     else:

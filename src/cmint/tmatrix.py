@@ -81,7 +81,3 @@ def admissible_matrices(field: CMFieldData, m: int, n: int) -> tuple[TMatrix, ..
         )
     return mats
 
-
-def mu_candidates(field: CMFieldData, m: int, n: int) -> tuple[int, ...]:
-    """The admissible signs for (m, n): (1, -1) when D | n, one sign otherwise."""
-    return tuple(T.mu for T in admissible_matrices(field, m, n))

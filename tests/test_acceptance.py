@@ -11,7 +11,7 @@ from math import gcd, isqrt
 
 from cmint.bm import bm_report
 from cmint.cmfield import build_cm_field
-from cmint.localdensity import LocalFactorInput, b_l_factor, beta_l_factor
+from cmint.localdensity import b_l_factors, beta_l_factor
 from cmint.numutil import ord_p, prime_factors, primes_up_to
 from cmint.padic import kronecker
 from cmint.quadfield import QuadElem, QuadField, elem_norm, ord_at, splitting
@@ -25,7 +25,7 @@ from cmint.selfcheck import (
     sweep_fields,
     worked_field,
 )
-from cmint.tmatrix import mu_candidates, t_matrix
+from cmint.tmatrix import admissible_matrices
 
 
 @lru_cache(maxsize=None)
@@ -93,8 +93,7 @@ def test_local_factor_relation_beta_vs_b():
                 Q4 = q * q * f.dtilde - n * n
                 if Q4 % f.D:
                     continue
-                for mu in mu_candidates(f, q, n):
-                    T = t_matrix(f, q, n, mu)
+                for T in admissible_matrices(f, q, n):
                     for p in small_primes:
                         if p == q:
                             continue
@@ -105,10 +104,10 @@ def test_local_factor_relation_beta_vs_b():
                             t_l = ord_p(Q4, l) - ord_p(4 * f.D, l)
                             if t_l < 0:
                                 continue
-                            b = b_l_factor(LocalFactorInput(f, T, p, l, t_l))
+                            b = b_l_factors(f, T, l, t_l)[0 if l == p else 1]
                             beta = beta_l_factor(f, T, q, p, l)
                             want = 2 * b if l == p else b
-                            assert beta == want, (f.D, q, n, mu, p, l, beta, b)
+                            assert beta == want, (f.D, q, n, T.mu, p, l, beta, b)
                             compared += 1
     assert compared >= 500
 

@@ -20,7 +20,7 @@ from cmint.bm import (
 )
 from cmint.cmfield import build_cm_field, classify_in_reflex_cm, rho
 from cmint.errors import InputError
-from cmint.localdensity import LocalFactorInput, b_l_factor
+from cmint.localdensity import b_l_factors
 from cmint.numutil import is_squarefree, ord_p, prime_factors, primes_up_to
 from cmint.padic import hensel_sqrt
 from cmint.quadfield import QuadElem, QuadField, ord_at, splitting
@@ -33,7 +33,7 @@ from cmint.selfcheck import (
     sweep_fields,
     worked_field,
 )
-from cmint.tmatrix import mu_candidates, t_matrix
+from cmint.tmatrix import admissible_matrices
 
 F5 = QuadField(5)
 
@@ -89,12 +89,11 @@ def per_p_product(field, m, p):
         if quot % p:
             continue
         mu_sum = 0
-        for mu in mu_candidates(field, m, n):
-            T = t_matrix(field, m, n, mu)
+        for T in admissible_matrices(field, m, n):
             prod = 1
             for l in prime_factors(quot):
                 t_l = ord_p(quot, l) - 2 * ord_p(m, l)
-                prod *= b_l_factor(LocalFactorInput(field, T, p, l, t_l))
+                prod *= b_l_factors(field, T, l, t_l)[0 if l == p else 1]
             mu_sum += prod
         total += (ord_p(quot, p) + 1) * mu_sum
     return total
@@ -129,6 +128,10 @@ def test_support_primes():
     assert support_primes(z, 7) == (11,)
     with pytest.raises(InputError):
         support_primes(f, 0)
+    for fn in (bm_report, bm_full, intersection_number):
+        for m in (0, -1):
+            with pytest.raises(InputError):
+                fn(f, m)
 
 
 def test_nonzero_needs_support():

@@ -6,17 +6,12 @@ import pytest
 
 from cmint.cmfield import build_cm_field
 from cmint.errors import InputError, InternalConsistencyError
-from cmint.localdensity import (
-    LocalFactorInput,
-    alpha_l,
-    b_l_factor,
-    beta_l_factor,
-)
+from cmint.localdensity import alpha_l, b_l_factors, beta_l_factor
 from cmint.numutil import ord_p, prime_factors, primes_up_to
 from cmint.padic import hilbert, kronecker
 from cmint.quadfield import QuadElem, QuadField
 from cmint.selfcheck import cyclotomic_field, worked_field
-from cmint.tmatrix import TMatrix, mu_candidates, t_matrix
+from cmint.tmatrix import TMatrix, admissible_matrices, t_matrix
 
 F5 = QuadField(5)
 
@@ -93,27 +88,27 @@ def test_worked_local_factor():
     f = worked_field()
     T = t_matrix(f, 1, 1, 1)
     # l = p = 2, t_2 = 1: (1 − (−α, 2)^t)/2 with (−3, 2) = −1 gives 1
-    assert b_l_factor(LocalFactorInput(f, T, 2, 2, 1)) == 1
+    assert b_l_factors(f, T, 2, 1)[0] == 1
     with pytest.raises(InputError):
-        b_l_factor(LocalFactorInput(f, T, 2, 2, -1))
+        b_l_factors(f, T, 2, -1)
 
 
 def test_factor_case_l_not_dividing_m():
     f = worked_field()
     # m=3, n=7: Q = 16, l = p = 2 ∤ m, t_2 = 4 even: the p-factor vanishes
     T7 = t_matrix(f, 3, 7, -1)
-    assert b_l_factor(LocalFactorInput(f, T7, 2, 2, 4)) == 0
+    assert b_l_factors(f, T7, 2, 4)[0] == 0
     # m=3, n=13: Q = 10, l = p = 2, t_2 = 1 odd
     T13 = t_matrix(f, 3, 13, 1)
     want2 = (1 - hilbert(-alpha_l(T13, 2), 2, 2)) // 2
-    assert b_l_factor(LocalFactorInput(f, T13, 2, 2, 1)) == want2
+    assert b_l_factors(f, T13, 2, 1)[0] == want2
     # same matrix, l = 5 ≠ p with t_5 = 1: t+1 for the split class, else 0
     h5 = hilbert(-alpha_l(T13, 5), 5, 5)
     want5 = 2 if h5 == 1 else 0
-    assert b_l_factor(LocalFactorInput(f, T13, 2, 5, 1)) == want5
+    assert b_l_factors(f, T13, 5, 1)[1] == want5
     # l ∤ Q·m with t_l = 0 must give 1 regardless of the class
-    assert b_l_factor(LocalFactorInput(f, T13, 2, 7, 0)) == 1
-    assert b_l_factor(LocalFactorInput(f, T13, 2, 11, 0)) == 1
+    assert b_l_factors(f, T13, 7, 0)[1] == 1
+    assert b_l_factors(f, T13, 11, 0)[1] == 1
 
 
 def test_factor_cases_l_dividing_m():
@@ -121,19 +116,17 @@ def test_factor_cases_l_dividing_m():
     z = cyclotomic_field()
     # t=0, l inert in the reflex field with inert spot above: factor 0
     T = t_matrix(f, 3, 3, 1)  # Q = 18, 3 | m
-    assert b_l_factor(LocalFactorInput(f, T, 2, 3, 0)) == 0
+    assert b_l_factors(f, T, 3, 0) == (0, 0)
     # t=0, l split completely in the composite of the CM field and its reflex: 4
-    for mu in mu_candidates(z, 33, 55):  # Q = 121
-        T = t_matrix(z, 33, 55, mu)
-        assert b_l_factor(LocalFactorInput(z, T, 2, 11, 0)) == 4
+    for T in admissible_matrices(z, 33, 55):  # Q = 121
+        assert b_l_factors(z, T, 11, 0) == (4, 4)
     # t=1, l | m and l split in the base: 0 or 2(t+2)
-    for mu in mu_candidates(z, 143, 275):  # Q = 1331 = 11³
-        T = t_matrix(z, 143, 275, mu)
-        assert b_l_factor(LocalFactorInput(z, T, 2, 11, 1)) == 6
+    for T in admissible_matrices(z, 143, 275):  # Q = 1331 = 11³
+        assert b_l_factors(z, T, 11, 1) == (6, 6)
     # t=1, l | m and l inert in the base: 0 or 2
     f61 = build_cm_field(5, QuadElem(F5, -9, 2, 1))
     T = t_matrix(f61, 3, 3, 1)  # Q = 27
-    assert b_l_factor(LocalFactorInput(f61, T, 2, 3, 1)) == 2
+    assert b_l_factors(f61, T, 3, 1) == (2, 2)
 
 
 def test_beta_matches_b_up_to_factor_two():
@@ -148,16 +141,15 @@ def test_beta_matches_b_up_to_factor_two():
                 if big_n % (4 * f.D):
                     continue
                 quot = big_n // (4 * f.D)
-                for mu in mu_candidates(f, m, n):
-                    T = t_matrix(f, m, n, mu)
+                for T in admissible_matrices(f, m, n):
                     for p in prime_factors(quot):
                         if p == q:
                             continue
                         for l in prime_factors(quot):
                             t_l = ord_p(quot, l) - 2 * ord_p(m, l)
-                            b = b_l_factor(LocalFactorInput(f, T, p, l, t_l))
+                            b = b_l_factors(f, T, l, t_l)[0 if l == p else 1]
                             beta = beta_l_factor(f, T, q, p, l)
-                            assert beta == (2 * b if l == p else b), (q, n, mu, p, l)
+                            assert beta == (2 * b if l == p else b), (q, n, T.mu, p, l)
                             checked += 1
     assert checked > 200
 

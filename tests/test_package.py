@@ -27,9 +27,10 @@ def test_every_lru_cache_is_bounded():
         "cmint.quadfield._root_for_spot",
         "cmint.numutil.factorize",
         "cmint.bm._route_b",
-        "cmint.bm.support_primes",
         "cmint.bm.bm_report",
     } <= caches.keys()
-    assert "cmint.bm._route_a" not in caches  # its one caller, bm_report, is cached
+    # their one caller, bm_report, is cached
+    assert "cmint.bm._route_a" not in caches
+    assert "cmint.bm.support_primes" not in caches
     unbounded = sorted(n for n, fn in caches.items() if fn.cache_parameters()["maxsize"] is None)
     assert unbounded == []

@@ -1,15 +1,11 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from cmint.errors import InputError
 from cmint.numutil import primes_up_to
 from cmint.padic import (
     hensel_sqrt,
     hilbert,
     kronecker,
-    legendre,
     unit_part_mod,
     val,
 )
@@ -29,23 +25,6 @@ def test_unit_part_mod():
     assert (u * 3) % 25 == 2
 
 
-def test_legendre_against_squares():
-    for p in primes_up_to(100):
-        if p == 2:
-            continue
-        squares = {(x * x) % p for x in range(1, p)}
-        for a in range(3 * p):
-            want = 0 if a % p == 0 else (1 if a % p in squares else -1)
-            assert legendre(a, p) == want
-
-
-def test_legendre_rejects_bad_modulus():
-    with pytest.raises(InputError):
-        legendre(3, 4)
-    with pytest.raises(InputError):
-        legendre(3, 2)
-
-
 def test_kronecker_examples():
     assert kronecker(41, 2) == 1
     assert kronecker(5, 2) == -1
@@ -56,13 +35,14 @@ def test_kronecker_examples():
     assert kronecker(3, 1) == 1
 
 
-def test_kronecker_matches_legendre():
-    for p in primes_up_to(60):
+def test_kronecker_against_squares():
+    for p in primes_up_to(100):
         if p == 2:
             continue
-        for a in range(-20, 40):
-            want = legendre(a % p, p) if a % p else 0
-            assert kronecker(a, p) == want
+        squares = {(x * x) % p for x in range(1, p)}
+        for a in range(-20, max(40, 3 * p)):
+            want = 0 if a % p == 0 else (1 if a % p in squares else -1)
+            assert kronecker(a, p) == want, (a, p)
 
 
 def test_kronecker_multiplicative():
@@ -113,6 +93,15 @@ def test_hilbert_examples():
     assert hilbert(2, 7, 7) == 1
     assert hilbert(5, 7, 7) == -1
     assert hilbert(3, 5, 5) == -1
+    # on a unit u, (u, l)_l is the Kronecker symbol (u | l), which route B reads
+    units = 0
+    for l in primes_up_to(97):
+        box = 8 if l == 2 else l
+        for u in range(-3 * box, 3 * box):
+            if u % l:
+                assert hilbert(u, l, l) == kronecker(u, l), (u, l)
+                units += 1
+    assert units == 6228
 
 
 def test_hilbert_symmetry_and_squares():

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
 from cmint.errors import InputError
-from cmint.selfcheck import cyclotomic_field, worked_field
-from cmint.tmatrix import mu_candidates, t_matrix
+from cmint.numutil import factorize, is_squarefree, ord_p
+from cmint.selfcheck import cyclotomic_field, sweep_fields, worked_field
+from cmint.tmatrix import admissible_matrices, t_matrix
 
 
 def test_worked_matrix():
@@ -13,7 +15,7 @@ def test_worked_matrix():
     assert T.entries == (Fraction(24), Fraction(-8), Fraction(3))
     assert T.det == 8  # (m²D̃ − n²)/(D·m²) = 40/5
     assert t_matrix(f, 1, 1, -1) is None
-    assert mu_candidates(f, 1, 1) == (1,)
+    assert admissible_matrices(f, 1, 1) == (T,)
 
 
 def test_cyclotomic_matrices_both_signs():
@@ -23,7 +25,7 @@ def test_cyclotomic_matrices_both_signs():
     assert plus.entries == (Fraction(25, 3), Fraction(-11, 3), Fraction(5, 3))
     assert minus.entries == (Fraction(5, 3), Fraction(-1, 3), Fraction(1, 3))
     assert plus.det == minus.det == Fraction(4, 9)
-    assert mu_candidates(f, 3, 5) == (1, -1)
+    assert admissible_matrices(f, 3, 5) == (plus, minus)
 
 
 def test_input_validation():
@@ -42,10 +44,30 @@ def test_rescaling_identity():
     # the matrix depends only on n/m and μ: T at (m, n) equals T at (m/l, n/l)
     f = cyclotomic_field()
     for (m, n, l) in ((3, 5, 1), (6, 10, 2), (15, 25, 5), (10, 10, 2)):
-        for mu in mu_candidates(f, m, n):
-            big = t_matrix(f, m, n, mu)
-            small = t_matrix(f, m // l, n // l, mu)
-            if big is None:
-                assert small is None
-            else:
-                assert small is not None and big.entries == small.entries
+        for big in admissible_matrices(f, m, n):
+            small = t_matrix(f, m // l, n // l, big.mu)
+            assert small is not None and big.entries == small.entries
+    # every case where route B evaluates a factor at l | m with t_l > 0, which reads
+    # alpha_l off T itself in place of the matrix at level m/l
+    reached = 0
+    for f in sweep_fields()[::5]:
+        fourD = 4 * f.D
+        for m in range(1, 31):
+            if not is_squarefree(m) or gcd(m, 2 * f.D * f.dtilde) != 1:
+                continue
+            m2dt = m * m * f.dtilde
+            for n in range(1, isqrt(m2dt - 1) + 1):
+                if (m2dt - n * n) % fourD:
+                    continue
+                fac = factorize((m2dt - n * n) // fourD)
+                if all(m % p == 0 for p, _ in fac):
+                    continue
+                for big in admissible_matrices(f, m, n):
+                    for l, e in fac:
+                        if m % l or e - 2 * ord_p(m, l) <= 0:
+                            continue
+                        small = t_matrix(f, m // l, n // l, big.mu)
+                        assert small is not None, (f.delta, m, n, l)
+                        assert small.entries == big.entries, (f.delta, m, n, l)
+                        reached += 1
+    assert reached == 80
