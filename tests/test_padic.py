@@ -25,6 +25,17 @@ def test_unit_part_mod():
     assert (u * 3) % 25 == 2
 
 
+def test_legendre_against_squares():
+    # kronecker at an odd prime p is the Legendre symbol (a/p)
+    for p in primes_up_to(100):
+        if p == 2:
+            continue
+        squares = {(x * x) % p for x in range(1, p)}
+        for a in range(3 * p):
+            want = 0 if a % p == 0 else (1 if a % p in squares else -1)
+            assert kronecker(a, p) == want, (a, p)
+
+
 def test_kronecker_examples():
     assert kronecker(41, 2) == 1
     assert kronecker(5, 2) == -1
@@ -35,13 +46,14 @@ def test_kronecker_examples():
     assert kronecker(3, 1) == 1
 
 
-def test_kronecker_against_squares():
-    for p in primes_up_to(100):
+def test_kronecker_matches_legendre():
+    # Euler's criterion: (a/p) = a^((p-1)/2) mod p for odd p
+    for p in primes_up_to(60):
         if p == 2:
             continue
-        squares = {(x * x) % p for x in range(1, p)}
-        for a in range(-20, max(40, 3 * p)):
-            want = 0 if a % p == 0 else (1 if a % p in squares else -1)
+        for a in range(-20, 40):
+            e = pow(a % p, (p - 1) // 2, p)
+            want = 0 if a % p == 0 else (1 if e == 1 else -1)
             assert kronecker(a, p) == want, (a, p)
 
 
