@@ -19,7 +19,6 @@ from .cmfield import (
     CMFieldData,
     build_cm_field,
     classify_in_reflex_cm,
-    relative_different,
     rho,
 )
 from .errors import CmintError, FieldRejected, InputError, InternalConsistencyError
@@ -54,7 +53,6 @@ __all__ = [
     "igusa_denominator_bounds",
     "intersection_number",
     "ord_at",
-    "relative_different",
     "rho",
     "splitting",
     "support_primes",

@@ -20,12 +20,12 @@ from functools import lru_cache
 from math import gcd, isqrt
 from types import MappingProxyType
 
-from .cmfield import CMFieldData, classify_in_reflex_cm
+from .cmfield import CMFieldData, spot_kinds
 from .errors import InputError, InternalConsistencyError
 from .localdensity import b_l_factors
 from .logcombo import LogCombo
 from .numutil import factorize, is_prime, is_squarefree, ord_p, prime_factors
-from .quadfield import PrimeSpot, QuadElem, ord_at, splitting
+from .quadfield import PrimeSpot, QuadElem, ord_at
 from .tmatrix import admissible_matrices
 
 
@@ -103,9 +103,8 @@ def _route_a(field: CMFieldData, m: int) -> _RouteA:
     always = {2, D} | rel_primes
     m2dt = m * m * Dt
     nmax = isqrt(m2dt - 1)
-    # l -> (ord_l(m), [(spot over l, exponent of 𝔡⁻¹ minus that of 2D)])
-    at_l: dict[int, tuple[int, list[tuple[PrimeSpot, int]]]] = {}
-    kinds: dict[PrimeSpot, str] = {}  # spot -> its behaviour in K̃
+    # l -> (ord_l(m), [(spot over l, its kind in K̃, exponent of 𝔡⁻¹ minus that of 2D)])
+    at_l: dict[int, tuple[int, list[tuple[PrimeSpot, str, int]]]] = {}
     totals: dict[int, int] = {}
     per_n: list[tuple[int, int, int]] = []
     passing: dict[int, set[int]] = {}
@@ -113,16 +112,16 @@ def _route_a(field: CMFieldData, m: int) -> _RouteA:
         vals = dict(factorize((m2dt - n * n) // div))
         for l, e in div_fac:
             vals[l] = vals.get(l, 0) + e
-        vec: list[tuple[PrimeSpot, int]] = []
+        vec: list[tuple[PrimeSpot, str, int]] = []
         ok = True
         for l in sorted(vals.keys() | always):
             if l not in at_l:
                 o2d = ord_p(2 * D, l)
-                shifts = [(s, rel.get(s, 0) - o2d * s.e) for s in splitting(Ft, l)]
+                shifts = [(s, k, rel.get(s, 0) - o2d * s.e) for s, k in spot_kinds(field, l)]
                 at_l[l] = (ord_p(m, l), shifts)
             vm, shifts = at_l[l]
             vl = vals.get(l, 0)
-            for spot, shift in shifts:
+            for spot, kind, shift in shifts:
                 if spot.kind == "ramified":
                     v = vl
                 elif spot.kind == "inert":
@@ -138,7 +137,7 @@ def _route_a(field: CMFieldData, m: int) -> _RouteA:
                     ok = False
                     break
                 if exp:
-                    vec.append((spot, exp))
+                    vec.append((spot, kind, exp))
             if not ok:
                 break
         if not ok:
@@ -148,16 +147,12 @@ def _route_a(field: CMFieldData, m: int) -> _RouteA:
         # ρ of the vector with one non-split spot's exponent lowered by one:
         # the product of (e + 1) over split spots, 0 if an inert e is odd
         split_prod, odd_inert = 1, 0
-        for spot, exp in vec:
-            kind = kinds.get(spot)
-            if kind is None:
-                kind = kinds[spot] = classify_in_reflex_cm(field, spot)
+        for _, kind, exp in vec:
             if kind == "split":
                 split_prod *= exp + 1
             elif kind == "inert":
                 odd_inert += exp % 2
-        for spot, exp in vec:
-            kind = kinds[spot]
+        for spot, kind, exp in vec:
             if kind == "split":
                 continue
             odd = odd_inert  # odd inert exponents once this one is lowered

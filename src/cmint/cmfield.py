@@ -4,6 +4,10 @@ The input is a pair (D, Δ) with D a prime ≡ 1 mod 4 and Δ a totally negative
 element of O_F, F = Q(√D). The package works with K = F(√Δ) through its
 reflex data: D̃ = norm(Δ), F̃ = Q(√D̃), Δ̃ = 2Δ₀ + 2√D̃, and K̃ = F̃(√Δ̃).
 Everything downstream only ever consults the reflex side.
+
+A spot's kind in K̃ (split, inert or ramified) depends only on the field, so
+it is decided once per (field, l) in the bounded table `spot_kinds`, which
+`classify_in_reflex_cm`, ρ and both routes for b_m(p) read.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from functools import lru_cache
 
 from .errors import FieldRejected, InputError, InternalConsistencyError
 from .numutil import is_perfect_square, is_prime, is_squarefree, ord_p, prime_factors
-from .padic import kronecker, unit_part_mod, val
+from .padic import kronecker
 from .quadfield import (
     PrimeSpot,
     QuadElem,
@@ -60,26 +64,6 @@ def _find_w(delta: QuadElem) -> QuadElem | None:
             if elem_div_exact(w * w - delta, 4) is not None:
                 return w
     return None
-
-
-def _frac_residue(q: Fraction, l: int) -> int:
-    if q == 0:
-        return 0
-    if val(q, l) < 0:
-        raise InternalConsistencyError("residue of a non-integral quantity")
-    return q.numerator * pow(q.denominator, -1, l) % l
-
-
-def _fl2_is_square(a: int, b: int, d: int, l: int) -> bool:
-    """Whether a + b·√d is a square in F_{l²} = F_l(√d), d a non-residue."""
-    e = (l * l - 1) // 2
-    ra, rb = 1, 0
-    while e:
-        if e & 1:
-            ra, rb = (ra * a + rb * b * d) % l, (ra * b + rb * a) % l
-        a, b = (a * a + b * b * d) % l, (2 * a * b) % l
-        e >>= 1
-    return (ra, rb) == (1, 0)
 
 
 @lru_cache(maxsize=256)
@@ -133,20 +117,18 @@ def _square_class_kind(elem: QuadElem, spot: PrimeSpot) -> str:
             if (A % 4, B % 4) in _dyadic_squares(spot.disc, 4):
                 return "inert"
             return "ramified"
-        denom = elem.den * l**v
-        a = _frac_residue(Fraction(elem.x, denom), l)
-        b = _frac_residue(Fraction(elem.y, denom), l)
-        if a == 0 and b == 0:
+        # a unit of F_{l²} is a square exactly when its norm is a square in F_l
+        nrm, r = divmod(elem.x * elem.x - elem.y * elem.y * spot.disc, l ** (2 * v))
+        if r or nrm % l == 0:
             raise InternalConsistencyError("inert unit-part extraction failed")
-        return "split" if _fl2_is_square(a, b, spot.disc % l, l) else "inert"
+        return "split" if kronecker(nrm, l) == 1 else "inert"
     # ramified spot; disc ≡ 1 mod 4 keeps these odd
     if v % 2:
         return "ramified"
-    x0 = Fraction(elem.x, elem.den * l ** (v // 2))
-    if x0 == 0 or val(x0, l) != 0:
+    x0, r = divmod(elem.x, l ** (v // 2))
+    if r or x0 % l == 0:
         raise InternalConsistencyError("ramified unit-part extraction failed")
-    r = unit_part_mod(x0, l, l)
-    return "split" if kronecker(r, l) == 1 else "inert"
+    return "split" if kronecker(x0 * elem.den, l) == 1 else "inert"
 
 
 def _relative_different(delta_tilde: QuadElem, mode: str) -> tuple[tuple[PrimeSpot, int], ...]:
@@ -209,16 +191,21 @@ def build_cm_field(D: int, delta: QuadElem, mode: str = "strict") -> CMFieldData
     return _build_cached(D, delta.x, delta.y, delta.den, mode)
 
 
-def relative_different(field: CMFieldData) -> tuple[tuple[PrimeSpot, int], ...]:
-    """The relative different of K̃/F̃ as (spot, exponent) pairs."""
-    return field.rel_diff
+@lru_cache(maxsize=1 << 14)
+def spot_kinds(field: CMFieldData, l: int) -> tuple[tuple[PrimeSpot, str], ...]:
+    """Each spot of F̃ over l with its kind in K̃, in `splitting` order."""
+    dt = field.delta_tilde
+    return tuple((s, _square_class_kind(dt, s)) for s in splitting(field.reflex, l))
 
 
 def classify_in_reflex_cm(field: CMFieldData, spot: PrimeSpot) -> str:
     """How the F̃-spot behaves in K̃: "split", "inert", or "ramified"."""
     if spot.disc != field.dtilde:
         raise InputError("spot does not belong to the reflex field")
-    return _square_class_kind(field.delta_tilde, spot)
+    for s, kind in spot_kinds(field, spot.l):
+        if s == spot:
+            return kind
+    raise InputError("spot is not a spot of the reflex field")
 
 
 def rho(field: CMFieldData, vals) -> int:

@@ -13,11 +13,10 @@ that, and so also check the symbol identity.
 
 from __future__ import annotations
 
-from .cmfield import CMFieldData, classify_in_reflex_cm
+from .cmfield import CMFieldData, spot_kinds
 from .errors import InputError, InternalConsistencyError
 from .numutil import is_prime, ord_p
 from .padic import hilbert, kronecker
-from .quadfield import splitting
 from .tmatrix import TMatrix
 
 
@@ -37,20 +36,18 @@ def alpha_l(T: TMatrix, l: int) -> int:
     if any(v.denominator % l == 0 for v in (a, b, c)):
         raise InputError("alpha_l needs an l-integral matrix")
     modulus = 8 if l == 2 else l
-    for q in (c, a, a + 2 * b + c):
-        if q.numerator % l:
-            return q.numerator * pow(q.denominator, -1, modulus) % modulus
-    raise InternalConsistencyError(f"no unit represented mod {modulus}")
+    q = c if c.numerator % l else a if a.numerator % l else a + 2 * b + c
+    if q.numerator % l == 0:
+        raise InternalConsistencyError(f"no unit represented mod {modulus}")
+    return q.numerator * pow(q.denominator, -1, modulus) % modulus
 
 
 def _reflex_split_factor(field: CMFieldData, l: int) -> int:
     """The factor at l | m with t_l = 0: 4 when l splits in F̃ and every spot
     over l splits in K̃, 2 when l is inert in F̃ and its spot splits in K̃,
-    else 0."""
+    else 0. The kinds come from the per-field table `spot_kinds`."""
     k = kronecker(field.dtilde, l)
-    if k == 0 or any(
-        classify_in_reflex_cm(field, s) != "split" for s in splitting(field.reflex, l)
-    ):
+    if k == 0 or any(kind != "split" for _, kind in spot_kinds(field, l)):
         return 0
     return 4 if k == 1 else 2
 

@@ -6,12 +6,20 @@ from cmint.cmfield import (
     _square_class_kind,
     build_cm_field,
     classify_in_reflex_cm,
-    relative_different,
     rho,
+    spot_kinds,
 )
 from cmint.errors import FieldRejected, InputError
-from cmint.quadfield import QuadElem, QuadField, elem_div_exact, elem_norm, splitting
-from cmint.selfcheck import cyclotomic_field, worked_field
+from cmint.numutil import primes_up_to
+from cmint.quadfield import (
+    PrimeSpot,
+    QuadElem,
+    QuadField,
+    elem_div_exact,
+    elem_norm,
+    splitting,
+)
+from cmint.selfcheck import cyclotomic_field, sweep_fields, worked_field
 
 F5 = QuadField(5)
 
@@ -25,7 +33,7 @@ def test_build_example():
     assert f.w == QuadElem(F5, 1, 1, 2)
     assert f.w_k == 2
     assert f.mode == "strict"
-    rd = relative_different(f)
+    rd = f.rel_diff
     assert len(rd) == 1
     spot, exp = rd[0]
     assert (spot.l, spot.kind, spot.label, exp) == (5, "split", 4, 1)
@@ -36,7 +44,7 @@ def test_build_cyclotomic():
     assert f.dtilde == 5
     assert f.w_k == 10
     assert f.delta_tilde == QuadElem(F5, -5, 2, 1)
-    ((spot, exp),) = relative_different(f)
+    ((spot, exp),) = f.rel_diff
     assert spot.l == 5 and spot.kind == "ramified" and exp == 1
 
 
@@ -124,6 +132,9 @@ def test_classification_rejects_wrong_field():
     (s,) = splitting(F5, 2)
     with pytest.raises(InputError):
         classify_in_reflex_cm(f, s)
+    # right field, but 2 is not a root of 41 mod 5 (the spots over 5 carry 1 and 4)
+    with pytest.raises(InputError):
+        classify_in_reflex_cm(f, PrimeSpot(41, 5, "split", 2))
 
 
 def test_rho():
@@ -144,22 +155,25 @@ def test_rho():
 
 
 def test_square_class_invariance():
-    rng = random.Random(17)
-    f = worked_field()
-    Ft = f.reflex
-    spots = [s for l in (2, 3, 5, 11, 41) for s in splitting(Ft, l)]
-    for _ in range(60):
-        den = rng.choice([1, 2])
-        x = rng.randint(-30, 30)
-        y = rng.randint(-30, 30)
-        if den == 2:
-            y += (x - y) % 2
-        if x == 0 and y == 0:
-            continue
-        u = QuadElem(Ft, x, y, den)
-        scaled = f.delta_tilde * u * u
-        for s in spots:
-            assert _square_class_kind(scaled, s) == _square_class_kind(f.delta_tilde, s)
+    # D̃ = 389 ≡ 5 mod 8: at its ramified spot 2 is a non-square, so the den = 2 of
+    # (1 + √D̃)/2 matters there
+    for f in (worked_field(), build_cm_field(13, QuadElem(QuadField(13), -21, -2, 1))):
+        rng = random.Random(17)
+        Ft = f.reflex
+        spots = [s for l in (2, 3, 5, 11, f.dtilde) for s in splitting(Ft, l)]
+        for _ in range(60):
+            den = rng.choice([1, 2])
+            x = rng.randint(-30, 30)
+            y = rng.randint(-30, 30)
+            if den == 2:
+                y += (x - y) % 2
+            if x == 0 and y == 0:
+                continue
+            u = QuadElem(Ft, x, y, den)
+            for base in (f.delta_tilde, QuadElem(Ft, 1, 1, 2)):
+                scaled = base * u * u
+                for s in spots:
+                    assert _square_class_kind(scaled, s) == _square_class_kind(base, s)
 
 
 def test_different_has_norm_D_in_strict_mode():
@@ -167,3 +181,58 @@ def test_different_has_norm_D_in_strict_mode():
         f = build_cm_field(D, QuadElem(QuadField(D), dx, dy, dden))
         ((spot, exp),) = f.rel_diff
         assert spot.l == D and exp == 1 and spot.f == 1
+
+
+def test_inert_kind_is_the_norm_criterion():
+    # at an odd inert spot a unit is a square exactly when its residue is a square in F_l(√d)
+    checked = 0
+    for d in (41, 389):
+        F = QuadField(d)
+        for l in primes_up_to(23)[1:]:
+            spots = splitting(F, l)
+            if spots[0].kind != "inert":
+                continue
+            squares = {
+                ((u * u + v * v * d) % l, 2 * u * v % l) for u in range(l) for v in range(l)
+            }
+            for a in range(l):
+                for b in range(l):
+                    if a == 0 and b == 0:
+                        continue
+                    want = "split" if (a, b) in squares else "inert"
+                    for s in (1, l * l):
+                        assert _square_class_kind(QuadElem(F, a * s, b * s), spots[0]) == want
+                        checked += 1
+    assert checked >= 2000
+
+
+def test_spot_kinds_match_sympy_prime_decomposition():
+    # an oracle outside the package: the (e, f) of each prime of K̃ over l, from sympy,
+    # against split → (e, f) twice, inert → (e, 2f), ramified → (2e, f) over each spot of F̃
+    pytest.importorskip("sympy")
+    from sympy import Poly, symbols
+    from sympy.polys.numberfields.basis import round_two
+    from sympy.polys.numberfields.primes import prime_decomp
+
+    X = symbols("X")
+    fields = pairs = 0
+    for f in sweep_fields():
+        if f.delta.den == 2 and abs(f.delta.y) == 3:
+            continue  # sympy's round_two raises ClosureFailure on these quartics
+        t = f.delta_tilde.x  # Δ̃ = t + 2√D̃, so √Δ̃ is a root of X⁴ − 2tX² + t² − 4D̃
+        T = Poly(X**4 - 2 * t * X**2 + t * t - 4 * f.dtilde, X)
+        ZK, dK = round_two(T)
+        fields += 1
+        for l in sorted(set(primes_up_to(59)) | {f.D, f.dtilde}):
+            want = []
+            for s, kind in spot_kinds(f, l):
+                if kind == "split":
+                    want += [(s.e, s.f), (s.e, s.f)]
+                elif kind == "inert":
+                    want.append((s.e, 2 * s.f))
+                else:
+                    want.append((2 * s.e, s.f))
+            got = sorted((P.e, P.f) for P in prime_decomp(l, T=T, ZK=ZK, dK=dK))
+            assert sorted(want) == got, (f.D, f.delta, l)
+            pairs += 1
+    assert fields >= 30 and pairs >= 500

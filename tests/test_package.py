@@ -23,6 +23,7 @@ def test_every_lru_cache_is_bounded():
     assert {
         "cmint.cmfield._build_cached",
         "cmint.cmfield._dyadic_squares",
+        "cmint.cmfield.spot_kinds",
         "cmint.quadfield._splitting",
         "cmint.quadfield._root_for_spot",
         "cmint.numutil.factorize",
