@@ -220,13 +220,20 @@ def _route_b(field: CMFieldData, m: int) -> MappingProxyType[int, int]:
     return MappingProxyType(totals)
 
 
+def _route_b_table(field: CMFieldData, m: int) -> MappingProxyType[int, int] | None:
+    """Route (b)'s values for every p ∤ m, or None when m is not squarefree
+    and coprime to 2DD̃."""
+    if not is_squarefree(m) or gcd(m, 2 * field.D * field.dtilde) != 1:
+        return None
+    return _route_b(field, m)
+
+
 def bm_p_product(field: CMFieldData, m: int, p: int) -> int | None:
     """b_m(p) from the product formula; None when the guards fail."""
     if m < 1 or not is_prime(p):
         raise InputError("need m >= 1 and p prime")
-    if not is_squarefree(m) or gcd(m, 2 * field.D * field.dtilde * p) != 1:
-        return None
-    return _route_b(field, m).get(p, 0)
+    table = _route_b_table(field, m)
+    return None if table is None or m % p == 0 else table.get(p, 0)
 
 
 @lru_cache(maxsize=4096)
@@ -246,10 +253,11 @@ def bm_report(field: CMFieldData, m: int) -> BmReport:
     by_prime: dict[int, list[tuple[int, int]]] = {}
     for q, n, t in ra.per_n:
         by_prime.setdefault(q, []).append((n, t))
+    table = _route_b_table(field, m)
     entries = []
     for p in support:
         a_val = totals.get(p, 0)
-        b_val = bm_p_product(field, m, p)
+        b_val = None if table is None or m % p == 0 else table.get(p, 0)
         if b_val is not None and b_val != a_val:
             raise InternalConsistencyError(
                 f"route disagreement at p={p}, m={m}: {a_val} (definition) vs {b_val} (product)"

@@ -92,21 +92,23 @@ def _omega_unit_coords(elem: QuadElem, v: int) -> tuple[int, int]:
 def _square_class_kind(elem: QuadElem, spot: PrimeSpot) -> str:
     """Splitting of the quadratic extension F_spot(√elem) of the completion."""
     l = spot.l
-    v = ord_at(elem, spot)
     if spot.kind == "split":
-        vden = ord_p(elem.den, l)
-        k = v + vden + (3 if l == 2 else 1)
-        img = spot_embed(elem, spot, k)
-        if img == 0 or ord_p(img, l) != v + vden:
+        # the image of elem·den has valuation at most v_l(norm(elem·den)), so
+        # this precision gives its valuation and its unit mod l (mod 8 at 2)
+        vn = ord_p(elem.x * elem.x - elem.y * elem.y * spot.disc, l)
+        img = spot_embed(elem, spot, vn + (3 if l == 2 else 1))
+        if img == 0:
             raise InternalConsistencyError("split unit-part extraction failed")
-        u = img // l ** (v + vden)
-        if v % 2:
+        e = ord_p(img, l)
+        if (e - ord_p(elem.den, l)) % 2:
             return "ramified"
+        u = img // l**e
         if l == 2:
             u %= 8
             return "split" if u == 1 else ("inert" if u == 5 else "ramified")
         u = u * pow(elem.den, -1, l) % l
         return "split" if kronecker(u, l) == 1 else "inert"
+    v = ord_at(elem, spot)
     if spot.kind == "inert":
         if v % 2:
             return "ramified"

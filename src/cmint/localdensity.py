@@ -32,14 +32,27 @@ def alpha_l(T: TMatrix, l: int) -> int:
     """
     if not is_prime(l):
         raise InputError(f"alpha_l needs a prime, got {l}")
-    a, b, c = T.entries
-    if any(v.denominator % l == 0 for v in (a, b, c)):
+    if any(v % l ** ord_p(T.q, l) for v in T.num):
         raise InputError("alpha_l needs an l-integral matrix")
+    return _alpha_unit(T, l)
+
+
+def _alpha_unit(T: TMatrix, l: int) -> int:
+    """`alpha_l` for a prime l and an l-integral T, read off T's numerators.
+
+    With s = l^v_l(q) the l-part of the denominator q, the entries are the
+    numerators over s divided by the l-unit q/s.
+    """
+    s = l ** ord_p(T.q, l)
+    if any(v % s for v in T.num):
+        raise InternalConsistencyError(f"T is not integral at {l}")
+    a, b, c = (v // s for v in T.num)
+    q = T.q // s
     modulus = 8 if l == 2 else l
-    q = c if c.numerator % l else a if a.numerator % l else a + 2 * b + c
-    if q.numerator % l == 0:
+    u = c if c % l else a if a % l else a + 2 * b + c
+    if u % l == 0:
         raise InternalConsistencyError(f"no unit represented mod {modulus}")
-    return q.numerator * pow(q.denominator, -1, modulus) % modulus
+    return u * pow(q, -1, modulus) % modulus
 
 
 def _reflex_split_factor(field: CMFieldData, l: int) -> int:
@@ -57,7 +70,8 @@ def b_l_factors(field: CMFieldData, T: TMatrix, l: int, t_l: int) -> tuple[int, 
 
     The prime p of b_m(p) enters the factor at l only through whether l = p,
     so one call serves every p. When l | m the factor does not depend on p
-    and both values agree.
+    and both values agree. l must be a prime: route B passes the primes of
+    (m²D̃ − n²)/4D that `factorize` returned, so l is not proved prime again.
     """
     m = T.m
     if t_l < 0:
@@ -65,7 +79,7 @@ def b_l_factors(field: CMFieldData, T: TMatrix, l: int, t_l: int) -> tuple[int, 
     if m % l == 0 and t_l == 0:
         v = _reflex_split_factor(field, l)
         return v, v
-    h = kronecker(-alpha_l(T, l), l)  # (−α, l)_l for the unit α
+    h = kronecker(-_alpha_unit(T, l), l)  # (−α, l)_l for the unit α
     if m % l:
         at_p = (1 - h) // 2 if t_l % 2 else 0
         if h == 1:

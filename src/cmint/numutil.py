@@ -128,7 +128,9 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         else:
             f += wheel[i]
             i = (i + 1) & 7
-    if n > 1:
+    if n > 1 and f * f > n:
+        out[n] = out.get(n, 0) + 1  # no prime factor below f, so n is prime
+    elif n > 1:
         rng = None  # seeded on first use: most cofactors are prime
         stack = [n]
         while stack:

@@ -127,14 +127,16 @@ def hensel_sqrt(a: Rational, l: int, k: int) -> int | None:
     """
     if not is_prime(l) or k < 1:
         raise InputError(f"hensel_sqrt needs a prime l and k >= 1, got l={l}, k={k}")
-    if val(a, l) != 0:
+    num, den = a.numerator, a.denominator
+    if num % l == 0 or den % l == 0:
         raise InputError("hensel_sqrt needs an l-adic unit")
+    target = 1 << (k + 1) if l == 2 else l**k
+    am = num * pow(den, -1, target) % target
     if l == 2:
         if k == 1:
             return 1
         if k == 2:
-            return 1 if unit_part_mod(a, 2, 4) == 1 else None
-        am = unit_part_mod(a, 2, 1 << (k + 1))
+            return 1 if am % 4 == 1 else None
         if am % 8 != 1:
             return None
         r = 1 if am % 16 == 1 else 5
@@ -145,15 +147,12 @@ def hensel_sqrt(a: Rational, l: int, k: int) -> int | None:
             if (r * r - am) % hi:
                 raise InternalConsistencyError("dyadic square-root lift failed")  # pragma: no cover
         return r
-    am = unit_part_mod(a, l, l)
     if kronecker(am, l) != 1:
         return None
     r = _sqrt_mod_prime(am, l)
     r = min(r, l - r)
     mod = l
-    target = l**k
-    am_full = unit_part_mod(a, l, target)
     while mod < target:
         mod = min(mod * mod, target)
-        r = (r + am_full * pow(r, -1, mod)) * pow(2, -1, mod) % mod
+        r = (r + am * pow(r, -1, mod)) * pow(2, -1, mod) % mod
     return r % target

@@ -22,16 +22,34 @@ from .errors import InputError, InternalConsistencyError
 
 @dataclass(frozen=True)
 class TMatrix:
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    """T = [[a, b], [b, c]], held as the integer numerators (a, b, c) over q.
+
+    The numerators need not be reduced; `a`, `b`, `c`, `entries` and `det`
+    give the rational values.
+    """
+
+    num: tuple[int, int, int]
+    q: int
     m: int
     n: int
     mu: int
 
     @property
+    def a(self) -> Fraction:
+        return Fraction(self.num[0], self.q)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.num[1], self.q)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self.num[2], self.q)
+
+    @property
     def det(self) -> Fraction:
-        return self.a * self.c - self.b * self.b
+        a, b, c = self.num
+        return Fraction(a * c - b * b, self.q * self.q)
 
     @property
     def entries(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -59,7 +77,7 @@ def t_matrix(field: CMFieldData, m: int, n: int, mu: int) -> TMatrix | None:
         return None
     if (a * c - b * b) * D * m * m != (m * m * field.dtilde - n * n) * q * q:
         raise InternalConsistencyError("determinant identity failed")
-    return TMatrix(Fraction(a, q), Fraction(b, q), Fraction(c, q), m, n, mu)
+    return TMatrix((a, b, c), q, m, n, mu)
 
 
 def admissible_matrices(field: CMFieldData, m: int, n: int) -> tuple[TMatrix, ...]:

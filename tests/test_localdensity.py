@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 
+from cmint import localdensity
+from cmint.bm import _route_b
 from cmint.cmfield import build_cm_field
 from cmint.errors import InputError, InternalConsistencyError
 from cmint.localdensity import alpha_l, b_l_factors, beta_l_factor
-from cmint.numutil import ord_p, prime_factors, primes_up_to
+from cmint.numutil import is_squarefree, ord_p, prime_factors, primes_up_to
 from cmint.padic import hilbert, kronecker
 from cmint.quadfield import QuadElem, QuadField
-from cmint.selfcheck import cyclotomic_field, worked_field
+from cmint.selfcheck import cyclotomic_field, sweep_fields, worked_field
 from cmint.tmatrix import TMatrix, admissible_matrices, t_matrix
 
 F5 = QuadField(5)
@@ -47,32 +49,63 @@ def box_alpha(T, l):
 def test_alpha_closed_form_matches_box_search():
     rng = random.Random(1729)
 
-    def entry(l, unit):
-        # an l-integral rational that is an l-unit or not, as asked
+    def numerator(l, s, unit):
+        # s times an l-integer that is an l-unit or not, as asked
         if not unit and rng.random() < 0.2:
-            return Fraction(0)
+            return 0
         num = rng.choice([1, -1]) * rng.randint(1, 60)
         while num % l == 0:
             num += 1
-        den = rng.randint(1, 12)
-        while den % l == 0:
-            den += 1
-        return Fraction(num * (1 if unit else l ** rng.randint(1, 3)), den)
+        return s * num * (1 if unit else l ** rng.randint(1, 3))
 
     seen = {"c": 0, "a": 0, "a+2b+c": 0, "none": 0}
     for l in primes_up_to(101):
         for _ in range(24):
             ua, ub, uc = (rng.random() < 0.5 for _ in range(3))
-            T = TMatrix(entry(l, ua), entry(l, ub), entry(l, uc), 1, 1, 1)
+            # a common denominator s·q0 with an l-part s that the numerators share
+            s = l ** rng.randint(0, 2)
+            q0 = rng.randint(1, 12)
+            while q0 % l == 0:
+                q0 += 1
+            T = TMatrix(tuple(numerator(l, s, u) for u in (ua, ub, uc)), s * q0, 1, 1, 1)
             want = box_alpha(T, l)
             if want is None:
                 with pytest.raises(InternalConsistencyError):
                     alpha_l(T, l)
                 seen["none"] += 1
                 continue
-            assert alpha_l(T, l) == want, (T.entries, l)
+            assert alpha_l(T, l) == want, (T.num, T.q, l)
             seen["c" if uc else "a" if ua else "a+2b+c"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def fraction_alpha(T, l):
+    """The first l-unit among c, a, a + 2b + c, read off the Fraction entries."""
+    a, b, c = T.entries
+    modulus = 8 if l == 2 else l
+    u = next(v for v in (c, a, a + 2 * b + c) if v.numerator % l)
+    return u.numerator * pow(u.denominator, -1, modulus) % modulus
+
+
+def test_route_b_alpha_matches_public_alpha(monkeypatch):
+    # every (T, l) whose unit route B reads, on every fifth sweep field with m <= 30
+    unit = localdensity._alpha_unit
+    visited = []
+
+    def recording(T, l):
+        value = unit(T, l)
+        visited.append((T, l, value))
+        return value
+
+    monkeypatch.setattr(localdensity, "_alpha_unit", recording)
+    for f in sweep_fields()[::5]:
+        for m in range(1, 31):
+            if is_squarefree(m) and gcd(m, 2 * f.D * f.dtilde) == 1:
+                _route_b.__wrapped__(f, m)
+    monkeypatch.undo()
+    for T, l, value in visited:
+        assert value == alpha_l(T, l) == fraction_alpha(T, l), (T, l)
+    assert len(visited) == 5539
 
 
 def test_alpha_rejects():

@@ -116,3 +116,34 @@ def test_factorize_seeds_rho_only_for_composite_cofactors(monkeypatch):
     assert seeds == []
     assert factorize.__wrapped__(p * q) == ((p, 1), (q, 1))
     assert seeds == [0xC0FFEE ^ (p * q)]
+
+
+def test_factorize_proves_trial_division_cofactors_without_is_prime(monkeypatch):
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(numutil, "is_prime", counting_is_prime)
+    # trial division stops at f² > n, which proves the cofactor prime
+    for n, want in ((2 * 7919, ((2, 1), (7919, 1))), (100003, ((100003, 1),)), (49, ((7, 2),))):
+        assert factorize.__wrapped__(n) == want
+        assert calls == [], n
+    # past the trial cap the cofactor still goes through is_prime and Pollard rho
+    p, q = 100003, 100019
+    assert factorize.__wrapped__(p * q) == ((p, 1), (q, 1))
+    assert sorted(calls) == [p, q, p * q]
+
+
+def test_factorize_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2027)
+    cases = [rng.randrange(1, 10**14) for _ in range(300)]
+    # primes on both sides of the trial-division cap of 100,000
+    primes = [2, 3, 7919, sympy.prevprime(99_989), 99_989, 99_991, 100_003, 100_019,
+              sympy.nextprime(10**6), sympy.nextprime(10**7)]
+    cases += [p * p for p in primes] + [2 * p for p in primes]
+    cases += [p * q for i, p in enumerate(primes) for q in primes[i + 1:]]
+    for n in cases:
+        assert dict(factorize.__wrapped__(n)) == sympy.factorint(n), n

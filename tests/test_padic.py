@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from cmint.errors import InputError
 from cmint.numutil import primes_up_to
 from cmint.padic import (
     hensel_sqrt,
@@ -167,3 +170,28 @@ def test_hensel_canonical_choice():
     # dyadic roots are odd; the construction is stable mod 2^(k-1)
     r = hensel_sqrt(17, 2, 6)
     assert r == 41 and (r * r - 17) % 64 == 0
+
+
+def test_hensel_on_rational_units():
+    # a rational unit u/v has the root of the integer u·v⁻¹ mod l^k; at l = 2
+    # the canonical root reads one more bit, so the integer is taken mod 2^(k+1)
+    checked = 0
+    for l in primes_up_to(13):
+        for k in range(1, 5):
+            mod = 2 ** (k + 1) if l == 2 else l**k
+            for u in range(-20, 21):
+                for v in range(1, 13):
+                    if u % l == 0 or v % l == 0:
+                        continue
+                    want = hensel_sqrt(u * pow(v, -1, mod) % mod, l, k)
+                    assert hensel_sqrt.__wrapped__(Fraction(u, v), l, k) == want, (u, v, l, k)
+                    checked += 1
+    assert checked == 7736
+
+
+def test_hensel_rejects_non_units():
+    # l + 1 is an l-unit, so these fractions keep l where it is put
+    for l in primes_up_to(13):
+        for a in (0, l * (l + 1), Fraction(l, l + 1), Fraction(l + 1, l), Fraction(1, l * (l + 1))):
+            with pytest.raises(InputError):
+                hensel_sqrt.__wrapped__(a, l, 3)
