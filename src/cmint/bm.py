@@ -2,14 +2,14 @@
 
 Route (a) is the definitional ideal count: sum over signed n with
 t = (n + m√D̃)/(2D) in the inverse relative different, of local terms at the
-non-split spots over p; it reads the spot valuations of n + m√D̃ off the
-factorization of (m²D̃ − n²)/(4D). Route (b) is the closed product formula
-over primes dividing (m²D̃ − n²)/(4D), valid for squarefree m coprime to
-2DD̃p. Each route is one scan over n per m that yields every prime's value,
-and every scan walks only the residue classes of n with 4D | m²D̃ − n²
-(`_admissible_n`); the two routes share only that range of n and
-`factorize`. Whenever route (b) applies, the two are compared and a mismatch
-is a hard error.
+non-split spots over p; it decides membership at the primes dividing 2D first,
+from v_l(m²D̃ − n²), and reads the other spot valuations off the factorization
+of (m²D̃ − n²)/(4D). Route (b) is the closed product formula over primes
+dividing (m²D̃ − n²)/(4D), valid for squarefree m coprime to 2DD̃p. Each route
+is one scan over n per m that yields every prime's value, and every scan walks
+only the residue classes of n with 4D | m²D̃ − n² (`_admissible_n`); the two
+routes share only that range of n and `factorize`. Whenever route (b)
+applies, the two are compared and a mismatch is a hard error.
 """
 
 from __future__ import annotations
@@ -84,75 +84,85 @@ def _split_ord(n: int, m: int, spot: PrimeSpot, vl: int, vm: int) -> int:
     return vl - g if (n // q + m // q * spot.label) % l == 0 else g
 
 
+def _spot_exps(vec: list, field: CMFieldData, n: int, m: int, l: int, vl: int, rows) -> bool:
+    """Append (l, kind in K̃, exponent, e_𝔡, f) for each spot over l where t·𝔡,
+    t = (n + m√D̃)/2D, has a nonzero exponent; False if one is negative. Needs
+    vl = v_l(m²D̃ − n²) and the rows of `spot_kinds(field, l)`."""
+    for spot, kind, kind_f, shift, rel, f, label in rows:
+        if not vl:
+            v = 0
+        elif kind_f == "ramified":
+            v = vl
+        elif kind_f == "inert":
+            if vl % 2:
+                raise InternalConsistencyError("odd norm valuation at an inert spot")
+            v = vl // 2
+        elif l == 2:
+            v = ord_at(QuadElem(field.reflex, n, m, 1), spot)
+        elif m % l:
+            # l ∤ n too, so n + m√D̃ lies in one spot over l: the one whose label it kills
+            v = vl if (n + m * label) % l == 0 else 0
+        else:
+            v = _split_ord(n, m, spot, vl, ord_p(m, l))
+        exp = v + shift
+        if exp < 0:
+            return False
+        if exp:
+            vec.append((l, kind, exp, rel, f))
+    return True
+
+
 def _route_a(field: CMFieldData, m: int) -> _RouteA:
     """One scan over signed n computing every prime's definitional terms.
 
-    The valuations of n + m√D̃ at the spots of F̃ are read off the
-    factorization of (m²D̃ − n²)/div that the other scans share; only split
-    spots over 2 need the element itself.
+    Membership comes first: only spots over the primes dividing 2D can carry
+    a negative exponent, so it is decided there from v_l(m²D̃ − n²) alone.
+    Only for the n that pass is (m²D̃ − n²)/div factorized (the other scans
+    share that factorization) and every other prime read off it.
     """
-    D, Dt = field.D, field.dtilde
-    Ft = field.reflex
-    rel = dict(field.rel_diff)
-    rel_primes = {s.l for s in rel}
+    D = field.D
+    rel_primes = {s.l for s, _ in field.rel_diff}
     dyadic_relaxed = 2 in rel_primes
     # membership forces 4D | m²D̃ − n² while the different is odd; only
     # the D-part survives when a dyadic entry relaxes the constraint at 2
     div = D if dyadic_relaxed else 4 * D
-    div_fac = factorize(div)
-    always = {2, D} | rel_primes
-    m2dt = m * m * Dt
+    # the primes of 2D and of the different: the only ones with a shift
+    fixed = [(l, spot_kinds(field, l)) for l in sorted({2, D} | rel_primes)]
+    rows_at = {l: () for l, _ in fixed}  # a factorization prime's rows; () if fixed
+    m2dt = m * m * field.dtilde
     nmax = isqrt(m2dt - 1)
-    # l -> (ord_l(m), [(spot over l, its kind in K̃, exponent of 𝔡⁻¹ minus that of 2D)])
-    at_l: dict[int, tuple[int, list[tuple[PrimeSpot, str, int]]]] = {}
     totals: dict[int, int] = {}
     per_n: list[tuple[int, int, int]] = []
-    passing: dict[int, set[int]] = {}
+    neg, dual = set(), []  # |n| of the members n < 0; the n > 0 whose −n is one too
     for n in _admissible_n(m2dt, div, -nmax, nmax):
-        vals = dict(factorize((m2dt - n * n) // div))
-        for l, e in div_fac:
-            vals[l] = vals.get(l, 0) + e
-        vec: list[tuple[PrimeSpot, str, int]] = []
-        ok = True
-        for l in sorted(vals.keys() | always):
-            if l not in at_l:
-                o2d = ord_p(2 * D, l)
-                shifts = [(s, k, rel.get(s, 0) - o2d * s.e) for s, k in spot_kinds(field, l)]
-                at_l[l] = (ord_p(m, l), shifts)
-            vm, shifts = at_l[l]
-            vl = vals.get(l, 0)
-            for spot, kind, shift in shifts:
-                if spot.kind == "ramified":
-                    v = vl
-                elif spot.kind == "inert":
-                    if vl % 2:
-                        raise InternalConsistencyError("odd norm valuation at an inert spot")
-                    v = vl // 2
-                elif l == 2:
-                    v = ord_at(QuadElem(Ft, n, m, 1), spot) if vl else 0
-                else:
-                    v = _split_ord(n, m, spot, vl, vm)
-                exp = v + shift
-                if exp < 0:
-                    ok = False
-                    break
-                if exp:
-                    vec.append((spot, kind, exp))
-            if not ok:
+        big_n = m2dt - n * n
+        vec = []
+        member = True
+        for l, rows in fixed:
+            if not _spot_exps(vec, field, n, m, l, ord_p(big_n, l), rows):
+                member = False
                 break
-        if not ok:
+        if not member:
             continue
-        if n:
-            passing.setdefault(abs(n), set()).add(1 if n > 0 else -1)
+        for l, vl in factorize(big_n // div):
+            if l not in rows_at:
+                rows_at[l] = spot_kinds(field, l)
+            _spot_exps(vec, field, n, m, l, vl, rows_at[l])
+        if n < 0:
+            neg.add(-n)
+        elif n in neg and n % D:
+            dual.append(n)
         # ρ of the vector with one non-split spot's exponent lowered by one:
-        # the product of (e + 1) over split spots, 0 if an inert e is odd
+        # the product of (e + 1) over split spots, 0 if an inert e is odd. So an
+        # n has one inert term or only ramified ones, which lie over the primes
+        # of the different, met first and in order: per_n follows the scan
         split_prod, odd_inert = 1, 0
-        for _, kind, exp in vec:
+        for _, kind, exp, _, _ in vec:
             if kind == "split":
                 split_prod *= exp + 1
             elif kind == "inert":
                 odd_inert += exp % 2
-        for spot, kind, exp in vec:
+        for p, kind, exp, rel, f in vec:
             if kind == "split":
                 continue
             odd = odd_inert  # odd inert exponents once this one is lowered
@@ -160,21 +170,11 @@ def _route_a(field: CMFieldData, m: int) -> _RouteA:
                 odd += -1 if exp % 2 else 1
             if odd:
                 continue
-            term = (exp - rel.get(spot, 0) + 1) * split_prod * spot.f
-            p = spot.l
+            term = (exp - rel + 1) * split_prod * f
             totals[p] = totals.get(p, 0) + term
             per_n.append((p, n, term))
-    flags = tuple(
-        f"dual-membership:|n|={k}"
-        for k in sorted(passing)
-        if k % D and len(passing[k]) == 2
-    )
-    return _RouteA(
-        tuple(sorted(totals.items())),
-        tuple(per_n),
-        flags,
-        dyadic_relaxed,
-    )
+    flags = tuple(f"dual-membership:|n|={k}" for k in dual)
+    return _RouteA(tuple(sorted(totals.items())), tuple(per_n), flags, dyadic_relaxed)
 
 
 def support_primes(field: CMFieldData, m: int) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ it is decided once per (field, l) in the bounded table `spot_kinds`, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -41,6 +41,13 @@ class CMFieldData:
     rel_diff: tuple[tuple[PrimeSpot, int], ...]
     w_k: int
     mode: str
+
+    def __post_init__(self):
+        # the field keys every per-field table, so its recursive hash is taken once
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def base(self) -> QuadField:
@@ -194,17 +201,29 @@ def build_cm_field(D: int, delta: QuadElem, mode: str = "strict") -> CMFieldData
 
 
 @lru_cache(maxsize=1 << 14)
-def spot_kinds(field: CMFieldData, l: int) -> tuple[tuple[PrimeSpot, str], ...]:
-    """Each spot of F̃ over l with its kind in K̃, in `splitting` order."""
+def spot_kinds(field: CMFieldData, l: int) -> tuple[tuple, ...]:
+    """Each spot of F̃ over l, in `splitting` order, as the flat row
+    (spot, its kind in K̃, its kind in F̃, shift, e_𝔡, f, label).
+
+    e_𝔡 is the exponent of the relative different at the spot and
+    shift = e_𝔡 − v_l(2D)·e, the exponent of 𝔡⁻¹ minus that of 2D; it is
+    negative only over the primes dividing 2D.
+    """
     dt = field.delta_tilde
-    return tuple((s, _square_class_kind(dt, s)) for s in splitting(field.reflex, l))
+    rel = dict(field.rel_diff)
+    o2d = ord_p(2 * field.D, l)
+    rows = []
+    for s in splitting(field.reflex, l):
+        r = rel.get(s, 0)
+        rows.append((s, _square_class_kind(dt, s), s.kind, r - o2d * s.e, r, s.f, s.label))
+    return tuple(rows)
 
 
 def classify_in_reflex_cm(field: CMFieldData, spot: PrimeSpot) -> str:
     """How the F̃-spot behaves in K̃: "split", "inert", or "ramified"."""
     if spot.disc != field.dtilde:
         raise InputError("spot does not belong to the reflex field")
-    for s, kind in spot_kinds(field, spot.l):
+    for s, kind, *_ in spot_kinds(field, spot.l):
         if s == spot:
             return kind
     raise InputError("spot is not a spot of the reflex field")

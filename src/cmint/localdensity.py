@@ -60,7 +60,7 @@ def _reflex_split_factor(field: CMFieldData, l: int) -> int:
     over l splits in K̃, 2 when l is inert in F̃ and its spot splits in K̃,
     else 0. The kinds come from the per-field table `spot_kinds`."""
     k = kronecker(field.dtilde, l)
-    if k == 0 or any(kind != "split" for _, kind in spot_kinds(field, l)):
+    if k == 0 or any(kind != "split" for _, kind, *_ in spot_kinds(field, l)):
         return 0
     return 4 if k == 1 else 2
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .errors import InputError, InternalConsistencyError
 from .numutil import is_prime, is_squarefree, ord_p
-from .padic import hensel_sqrt, kronecker
+from .padic import _lift_sqrt, _sqrt_mod_prime, hensel_sqrt, kronecker
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ class PrimeSpot:
 
 @lru_cache(maxsize=1 << 14)
 def _splitting(disc: int, l: int) -> tuple[PrimeSpot, ...]:
-    QuadField(disc)
+    # disc comes from a validated QuadField; l is proved prime here, once
     if not is_prime(l):
         raise InputError(f"splitting needs a prime, got {l}")
     k = kronecker(disc, l)
@@ -152,8 +152,8 @@ def _splitting(disc: int, l: int) -> tuple[PrimeSpot, ...]:
         return (PrimeSpot(disc, l, "inert"),)
     if l == 2:
         return (PrimeSpot(disc, 2, "split", 1), PrimeSpot(disc, 2, "split", 3))
-    r = hensel_sqrt(disc, l, 1)
-    assert r is not None
+    r = _sqrt_mod_prime(disc, l)
+    r = min(r, l - r)
     return (PrimeSpot(disc, l, "split", r), PrimeSpot(disc, l, "split", l - r))
 
 
@@ -164,13 +164,17 @@ def splitting(field: QuadField, l: int) -> tuple[PrimeSpot, ...]:
 
 @lru_cache(maxsize=1 << 15)
 def _root_for_spot(disc: int, l: int, label: int, k: int) -> int:
-    """The mod-l^k image of √disc under this split spot's embedding."""
-    r = hensel_sqrt(disc, l, k)
+    """The mod-l^k image of √disc under this split spot's embedding.
+
+    For odd l it is the lift of the label, so l, proved prime by `_splitting`,
+    is not proved again (and k = 1 gives the label itself).
+    """
+    if l != 2:
+        return _lift_sqrt(disc, label, l, k)
+    r = hensel_sqrt(disc, 2, k)
     if r is None:
         raise InternalConsistencyError("no square root at a split spot")
-    if l == 2:
-        return r if label == 1 else ((1 << k) - r)
-    return r if r % l == label else l**k - r
+    return r if label == 1 else ((1 << k) - r)
 
 
 def spot_embed(e: QuadElem, spot: PrimeSpot, k: int) -> int:

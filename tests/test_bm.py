@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import random
 from fractions import Fraction
 from math import gcd, isqrt
@@ -238,6 +239,19 @@ def test_route_a_matches_per_spot_scan():
     assert nonzero >= 150 and shared >= 1000
 
 
+def test_route_a_matches_per_spot_scan_on_the_benchmark_field():
+    # D = 13 splits in F̃ = Q(√389) and one spot over it is in the different, so
+    # membership at 13 decides most n; 13 | m and 169 | m take the l | m branch there
+    shared = 0
+    for y in (-2, 2):
+        f = build_cm_field(13, QuadElem(QuadField(13), -21, y, 1))
+        assert f.dtilde == 389 and splitting(f.reflex, 13)[0].kind == "split"
+        for m in list(range(1, 101)) + [169, 338]:
+            assert _route_a(f, m) == per_spot_route_a(f, m), (y, m)
+            shared += shared_split_factors(f, m)
+    assert shared >= 500
+
+
 def test_route_a_matches_per_spot_scan_with_dyadic_different():
     # no enumerated field has a dyadic entry in its different, so one is added by
     # hand: route A then keeps every n with D | m²D̃ − n² and reads v_2 from the
@@ -306,6 +320,39 @@ def code_names(code):
         if hasattr(const, "co_names"):
             names |= code_names(const)
     return names
+
+
+# the names each route must not reach, as in test_routes_stay_independent
+ROUTE_A_FORBIDDEN = {"_route_b", "b_l_factors", "admissible_matrices", "t_matrix", "alpha_l"}
+ROUTE_B_FORBIDDEN = {"_route_a", "ord_at", "rho", "splitting"}
+
+
+def bm_helpers(fn):
+    """The cmint.bm functions that fn calls, directly or through one another, by name."""
+    found = {}
+    todo = [inspect.unwrap(fn).__code__]
+    while todo:
+        for name in code_names(todo.pop()) - found.keys():
+            helper = getattr(bm, name, None)
+            if not callable(helper):
+                continue
+            helper = inspect.unwrap(helper)
+            if inspect.isfunction(helper) and helper.__module__ == bm.__name__:
+                found[name] = helper.__code__
+                todo.append(helper.__code__)
+    return found
+
+
+def test_route_helpers_stay_independent():
+    # a route's loop moved into a helper stays under the same rule
+    a = bm_helpers(bm._route_a)
+    assert {"_admissible_n", "_spot_exps", "_split_ord"} <= a.keys()
+    for name, code in a.items():
+        assert not code_names(code) & ROUTE_A_FORBIDDEN, name
+    b = bm_helpers(bm._route_b)
+    assert "_admissible_n" in b and "_route_a" not in b
+    for name, code in b.items():
+        assert not code_names(code) & ROUTE_B_FORBIDDEN, name
 
 
 def test_routes_stay_independent():

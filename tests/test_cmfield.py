@@ -1,7 +1,10 @@
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
+from cmint import cmfield, numutil, padic, quadfield
 from cmint.cmfield import (
     _square_class_kind,
     build_cm_field,
@@ -10,7 +13,7 @@ from cmint.cmfield import (
     spot_kinds,
 )
 from cmint.errors import FieldRejected, InputError
-from cmint.numutil import primes_up_to
+from cmint.numutil import ord_p, primes_up_to
 from cmint.quadfield import (
     PrimeSpot,
     QuadElem,
@@ -225,7 +228,7 @@ def test_spot_kinds_match_sympy_prime_decomposition():
         fields += 1
         for l in sorted(set(primes_up_to(59)) | {f.D, f.dtilde}):
             want = []
-            for s, kind in spot_kinds(f, l):
+            for s, kind, *_ in spot_kinds(f, l):
                 if kind == "split":
                     want += [(s.e, s.f), (s.e, s.f)]
                 elif kind == "inert":
@@ -236,3 +239,57 @@ def test_spot_kinds_match_sympy_prime_decomposition():
             assert sorted(want) == got, (f.D, f.delta, l)
             pairs += 1
     assert fields >= 30 and pairs >= 500
+
+
+def test_spot_kinds_rows():
+    for f in sweep_fields()[::4] + [cyclotomic_field()]:
+        rel = dict(f.rel_diff)
+        for l in sorted(set(primes_up_to(60)) | {f.D, f.dtilde}):
+            rows = spot_kinds(f, l)
+            assert [r[0] for r in rows] == list(splitting(f.reflex, l))
+            for s, kind, kind_f, shift, e_d, f_s, label in rows:
+                assert kind == classify_in_reflex_cm(f, s)
+                assert (kind_f, e_d, f_s, label) == (s.kind, rel.get(s, 0), s.f, s.label)
+                assert shift == e_d - ord_p(2 * f.D, l) * s.e
+                assert shift >= 0 or (2 * f.D) % l == 0
+
+
+def test_stored_field_hash_is_the_generated_one():
+    def generated(g):
+        return hash(tuple(getattr(g, x.name) for x in dataclasses.fields(g)))
+
+    f = build_cm_field(13, QuadElem(QuadField(13), -21, -2, 1))
+    same = dataclasses.replace(f)
+    assert same is not f and same == f and hash(same) == hash(f) == generated(f)
+    spot = splitting(f.reflex, 2)[0]
+    other = dataclasses.replace(f, rel_diff=f.rel_diff + ((spot, 2),))
+    assert other != f and hash(other) == generated(other)
+
+
+def test_spot_table_proves_each_prime_once(monkeypatch):
+    # `_splitting` proves l prime; a split spot's roots are lifted from its label,
+    # so building the table over l proves nothing again
+    calls = Counter()
+    real = numutil.is_prime
+
+    def counting(n):
+        calls[n] += 1
+        return real(n)
+
+    fields = [
+        build_cm_field(13, QuadElem(QuadField(13), -21, -2, 1)),  # 13 | norm(Δ̃), 13 split
+        next(f for f in sweep_fields() if f.dtilde % 8 == 1),  # 2 split in F̃
+    ]
+    for mod in (cmfield, padic, quadfield):
+        monkeypatch.setattr(mod, "is_prime", counting)
+    for f in fields:
+        for cache in (spot_kinds, quadfield._splitting, quadfield._root_for_spot, padic.hensel_sqrt):
+            cache.cache_clear()
+        calls.clear()
+        primes = sorted(set(primes_up_to(400)) | {f.D, f.dtilde})
+        for l in primes:
+            spot_kinds(f, l)
+        assert set(calls) == set(primes)
+        assert sum(s.kind == "split" for l in primes for s in splitting(f.reflex, l)) >= 60
+        # a dyadic split spot's root still comes from hensel_sqrt, which proves 2 again
+        assert all(c == 1 for l, c in calls.items() if l > 2 or f.dtilde % 8 == 5)
