@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .bm import bm_full
 from .cmfield import CMFieldData
 from .errors import InputError, InternalConsistencyError
+from .frozen import Frozen
 from .logcombo import LogCombo
 from .numutil import is_perfect_square
 
@@ -27,13 +27,22 @@ def humbert_intersection(field: CMFieldData, m: int) -> LogCombo:
     return total.scaled(Fraction(1, 2))
 
 
-@dataclass(frozen=True)
-class BadReductionCertificate:
-    field: CMFieldData
-    indices: tuple[int, ...]
-    per_prime: tuple[tuple[int, int], ...]
-    bad_primes: tuple[int, ...]
-    bound: Fraction
+class BadReductionCertificate(Frozen):
+    __slots__ = _fields = ("field", "indices", "per_prime", "bad_primes", "bound")
+
+    def __init__(
+        self,
+        field: CMFieldData,
+        indices: tuple[int, ...],
+        per_prime: tuple[tuple[int, int], ...],
+        bad_primes: tuple[int, ...],
+        bound: Fraction,
+    ):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "per_prime", per_prime)
+        object.__setattr__(self, "bad_primes", bad_primes)
+        object.__setattr__(self, "bound", bound)
 
 
 def _genus_two_sum(field: CMFieldData) -> LogCombo:

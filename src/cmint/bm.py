@@ -14,7 +14,6 @@ applies, the two are compared and a mismatch is a hard error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -22,6 +21,7 @@ from types import MappingProxyType
 
 from .cmfield import CMFieldData, spot_kinds
 from .errors import InputError, InternalConsistencyError
+from .frozen import Frozen
 from .localdensity import b_l_factors
 from .logcombo import LogCombo
 from .numutil import factorize, is_prime, is_squarefree, ord_p, prime_factors
@@ -29,29 +29,48 @@ from .quadfield import PrimeSpot, QuadElem, ord_at
 from .tmatrix import admissible_matrices
 
 
-@dataclass(frozen=True)
-class BmEntry:
-    p: int
-    b: int
-    route_a: int
-    route_b: int | None
-    per_n: tuple[tuple[int, int], ...]
+class BmEntry(Frozen):
+    __slots__ = _fields = ("p", "b", "route_a", "route_b", "per_n")
+
+    def __init__(
+        self, p: int, b: int, route_a: int, route_b: int | None, per_n: tuple[tuple[int, int], ...]
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "route_a", route_a)
+        object.__setattr__(self, "route_b", route_b)
+        object.__setattr__(self, "per_n", per_n)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.b, self.route_a, self.route_b, self.per_n))
 
 
-@dataclass(frozen=True)
-class BmReport:
-    field: CMFieldData
-    m: int
-    entries: tuple[BmEntry, ...]
-    flags: tuple[str, ...]
+class BmReport(Frozen):
+    __slots__ = _fields = ("field", "m", "entries", "flags")
+
+    def __init__(
+        self, field: CMFieldData, m: int, entries: tuple[BmEntry, ...], flags: tuple[str, ...]
+    ):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "flags", flags)
 
 
-@dataclass(frozen=True)
-class _RouteA:
-    totals: tuple[tuple[int, int], ...]
-    per_n: tuple[tuple[int, int, int], ...]  # (p, signed n, term)
-    flags: tuple[str, ...]
-    dyadic_relaxed: bool
+class _RouteA(Frozen):
+    __slots__ = _fields = ("totals", "per_n", "flags", "dyadic_relaxed")
+
+    def __init__(
+        self,
+        totals: tuple[tuple[int, int], ...],
+        per_n: tuple[tuple[int, int, int], ...],  # (p, signed n, term)
+        flags: tuple[str, ...],
+        dyadic_relaxed: bool,
+    ):
+        object.__setattr__(self, "totals", totals)
+        object.__setattr__(self, "per_n", per_n)
+        object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "dyadic_relaxed", dyadic_relaxed)
 
 
 def _admissible_n(m2dt: int, div: int, lo: int, hi: int) -> list[int]:

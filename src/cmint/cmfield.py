@@ -12,11 +12,11 @@ it is decided once per (field, l) in the bounded table `spot_kinds`, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import FieldRejected, InputError, InternalConsistencyError
+from .frozen import Frozen
 from .numutil import is_perfect_square, is_prime, is_squarefree, ord_p, prime_factors
 from .padic import kronecker
 from .quadfield import (
@@ -31,20 +31,26 @@ from .quadfield import (
 )
 
 
-@dataclass(frozen=True)
-class CMFieldData:
-    D: int
-    delta: QuadElem
-    w: QuadElem
-    dtilde: int
-    delta_tilde: QuadElem
-    rel_diff: tuple[tuple[PrimeSpot, int], ...]
-    w_k: int
-    mode: str
+class CMFieldData(Frozen):
+    _fields = ("D", "delta", "w", "dtilde", "delta_tilde", "rel_diff", "w_k", "mode")
+    __slots__ = _fields + ("_hash",)
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        D: int,
+        delta: QuadElem,
+        w: QuadElem,
+        dtilde: int,
+        delta_tilde: QuadElem,
+        rel_diff: tuple[tuple[PrimeSpot, int], ...],
+        w_k: int,
+        mode: str,
+    ):
+        values = (D, delta, w, dtilde, delta_tilde, rel_diff, w_k, mode)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
         # the field keys every per-field table, so its recursive hash is taken once
-        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+        object.__setattr__(self, "_hash", hash(values))
 
     def __hash__(self) -> int:
         return self._hash

@@ -6,13 +6,16 @@ exact rational c_p; this type keeps them exact end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .frozen import Frozen
 
-@dataclass(frozen=True)
-class LogCombo:
-    coeffs: tuple[tuple[int, Fraction], ...] = ()
+
+class LogCombo(Frozen):
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[tuple[int, Fraction], ...] = ()):
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def from_dict(d: dict) -> "LogCombo":

@@ -6,50 +6,53 @@ told apart by the residue class of √d they select.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, InternalConsistencyError
+from .frozen import Frozen
 from .numutil import is_prime, is_squarefree, ord_p
 from .padic import _lift_sqrt, _sqrt_mod_prime, hensel_sqrt, kronecker
 
 
-@dataclass(frozen=True)
-class QuadField:
+class QuadField(Frozen):
     """Q(√disc) for squarefree disc ≡ 1 mod 4, disc > 1."""
 
-    disc: int
+    __slots__ = _fields = ("disc",)
 
-    def __post_init__(self):
-        d = self.disc
-        if d <= 1 or d % 4 != 1 or not is_squarefree(d):
-            raise InputError(f"need squarefree disc ≡ 1 mod 4, disc > 1; got {d}")
+    def __init__(self, disc: int):
+        if disc <= 1 or disc % 4 != 1 or not is_squarefree(disc):
+            raise InputError(f"need squarefree disc ≡ 1 mod 4, disc > 1; got {disc}")
+        object.__setattr__(self, "disc", disc)
+
+    def __hash__(self) -> int:
+        return hash((self.disc,))
 
 
-@dataclass(frozen=True)
-class QuadElem:
+class QuadElem(Frozen):
     """(x + y√d)/den with den ∈ {1, 2}; always lies in the maximal order.
 
     den = 2 requires x ≡ y mod 2; representations with both coordinates even
     are reduced to den = 1 on construction.
     """
 
-    field: QuadField
-    x: int
-    y: int
-    den: int = 1
+    __slots__ = _fields = ("field", "x", "y", "den")
 
-    def __post_init__(self):
-        if self.den not in (1, 2):
-            raise InputError(f"den must be 1 or 2, got {self.den}")
-        if self.den == 2:
-            if (self.x - self.y) % 2:
+    def __init__(self, field: QuadField, x: int, y: int, den: int = 1):
+        if den not in (1, 2):
+            raise InputError(f"den must be 1 or 2, got {den}")
+        if den == 2:
+            if (x - y) % 2:
                 raise InputError("half-integral element needs x ≡ y mod 2")
-            if self.x % 2 == 0:
-                object.__setattr__(self, "x", self.x // 2)
-                object.__setattr__(self, "y", self.y // 2)
-                object.__setattr__(self, "den", 1)
+            if x % 2 == 0:
+                x, y, den = x // 2, y // 2, 1
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "den", den)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.x, self.y, self.den))
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
@@ -117,8 +120,7 @@ def elem_div_exact(e: QuadElem, k: int) -> QuadElem | None:
     return None
 
 
-@dataclass(frozen=True)
-class PrimeSpot:
+class PrimeSpot(Frozen):
     """A place of Q(√disc) over the rational prime l.
 
     `label` names split spots: the mod-l residue of √d the spot selects
@@ -126,10 +128,16 @@ class PrimeSpot:
     root (≤ (l−1)/2 for odd l, ≡ 1 mod 4 for l = 2).
     """
 
-    disc: int
-    l: int
-    kind: str
-    label: int | None = None
+    __slots__ = _fields = ("disc", "l", "kind", "label")
+
+    def __init__(self, disc: int, l: int, kind: str, label: int | None = None):
+        object.__setattr__(self, "disc", disc)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "label", label)
+
+    def __hash__(self) -> int:
+        return hash((self.disc, self.l, self.kind, self.label))
 
     @property
     def f(self) -> int:

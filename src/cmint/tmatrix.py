@@ -13,26 +13,31 @@ admissible; for D | n both are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cmfield import CMFieldData
 from .errors import InputError, InternalConsistencyError
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class TMatrix:
+class TMatrix(Frozen):
     """T = [[a, b], [b, c]], held as the integer numerators (a, b, c) over q.
 
     The numerators need not be reduced; `a`, `b`, `c`, `entries` and `det`
     give the rational values.
     """
 
-    num: tuple[int, int, int]
-    q: int
-    m: int
-    n: int
-    mu: int
+    __slots__ = _fields = ("num", "q", "m", "n", "mu")
+
+    def __init__(self, num: tuple[int, int, int], q: int, m: int, n: int, mu: int):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mu", mu)
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.q, self.m, self.n, self.mu))
 
     @property
     def a(self) -> Fraction:

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import random
 from fractions import Fraction
@@ -19,7 +18,7 @@ from cmint.bm import (
     report_json_obj,
     support_primes,
 )
-from cmint.cmfield import build_cm_field, classify_in_reflex_cm, rho
+from cmint.cmfield import CMFieldData, build_cm_field, classify_in_reflex_cm, rho
 from cmint.errors import InputError
 from cmint.localdensity import b_l_factors
 from cmint.numutil import is_squarefree, ord_p, prime_factors, primes_up_to
@@ -262,7 +261,10 @@ def test_route_a_matches_per_spot_scan_with_dyadic_different():
     for f in bases:
         for spot in splitting(f.reflex, 2):
             for e in (1, 2):
-                g = dataclasses.replace(f, rel_diff=f.rel_diff + ((spot, e),))
+                g = CMFieldData(
+                    f.D, f.delta, f.w, f.dtilde, f.delta_tilde,
+                    f.rel_diff + ((spot, e),), f.w_k, f.mode,
+                )
                 for m in range(1, 13):
                     want = per_spot_route_a(g, m)
                     assert want.dyadic_relaxed

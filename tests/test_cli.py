@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import time
 
@@ -6,6 +5,7 @@ import pytest
 
 import cmint.cli as cli
 from cmint import selfcheck
+from cmint.bm import BmEntry, BmReport
 from cmint.errors import InternalConsistencyError
 
 
@@ -322,8 +322,8 @@ def test_selfcheck_reports_route_disagreement(monkeypatch, capsys):
 
     def skewed(field, m):
         rep = real(field, m)
-        bumped = [dataclasses.replace(e, route_a=e.route_a + 1) for e in rep.entries]
-        return dataclasses.replace(rep, entries=tuple(bumped))
+        bumped = [BmEntry(e.p, e.b, e.route_a + 1, e.route_b, e.per_n) for e in rep.entries]
+        return BmReport(rep.field, rep.m, tuple(bumped), rep.flags)
 
     monkeypatch.setattr(selfcheck, "bm_report", skewed)
     assert cli.run(["selfcheck", "--suite", "small"]) == 3

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import Counter
 
@@ -6,6 +5,7 @@ import pytest
 
 from cmint import cmfield, numutil, padic, quadfield
 from cmint.cmfield import (
+    CMFieldData,
     _square_class_kind,
     build_cm_field,
     classify_in_reflex_cm,
@@ -211,7 +211,8 @@ def test_inert_kind_is_the_norm_criterion():
 
 def test_spot_kinds_match_sympy_prime_decomposition():
     # an oracle outside the package: the (e, f) of each prime of K̃ over l, from sympy,
-    # against split → (e, f) twice, inert → (e, 2f), ramified → (2e, f) over each spot of F̃
+    # against split → (e, f) twice, inert → (e, 2f), ramified → (2e, f) over each spot of F̃;
+    # and sympy's disc(K̃) against the norm of the relative different
     pytest.importorskip("sympy")
     from sympy import Poly, symbols
     from sympy.polys.numberfields.basis import round_two
@@ -225,6 +226,12 @@ def test_spot_kinds_match_sympy_prime_decomposition():
         t = f.delta_tilde.x  # Δ̃ = t + 2√D̃, so √Δ̃ is a root of X⁴ − 2tX² + t² − 4D̃
         T = Poly(X**4 - 2 * t * X**2 + t * t - 4 * f.dtilde, X)
         ZK, dK = round_two(T)
+        # |disc(K̃)| = D̃²·N(𝔡) for the relative different 𝔡 = Π 𝔓^e over rel_diff,
+        # where 𝔓 is the ramified prime of K̃ over the spot, of norm l^f
+        norm = 1
+        for s, e in f.rel_diff:
+            norm *= s.l ** (s.f * e)
+        assert abs(dK) == f.dtilde**2 * norm, (f.D, f.delta)
         fields += 1
         for l in sorted(set(primes_up_to(59)) | {f.D, f.dtilde}):
             want = []
@@ -256,13 +263,16 @@ def test_spot_kinds_rows():
 
 def test_stored_field_hash_is_the_generated_one():
     def generated(g):
-        return hash(tuple(getattr(g, x.name) for x in dataclasses.fields(g)))
+        return hash((g.D, g.delta, g.w, g.dtilde, g.delta_tilde, g.rel_diff, g.w_k, g.mode))
+
+    def with_diff(g, rel_diff):
+        return CMFieldData(g.D, g.delta, g.w, g.dtilde, g.delta_tilde, rel_diff, g.w_k, g.mode)
 
     f = build_cm_field(13, QuadElem(QuadField(13), -21, -2, 1))
-    same = dataclasses.replace(f)
+    same = with_diff(f, f.rel_diff)
     assert same is not f and same == f and hash(same) == hash(f) == generated(f)
     spot = splitting(f.reflex, 2)[0]
-    other = dataclasses.replace(f, rel_diff=f.rel_diff + ((spot, 2),))
+    other = with_diff(f, f.rel_diff + ((spot, 2),))
     assert other != f and hash(other) == generated(other)
 
 

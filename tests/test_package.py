@@ -1,8 +1,29 @@
+import copy
 import importlib
 import inspect
+import os
+import pickle
 import pkgutil
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
 
 import cmint
+from cmint import (
+    BadReductionCertificate,
+    BmEntry,
+    BmReport,
+    CMFieldData,
+    LogCombo,
+    PrimeSpot,
+    QuadElem,
+    QuadField,
+    TMatrix,
+    build_cm_field,
+)
+from cmint.bm import _RouteA
 
 
 def lru_caches() -> dict:
@@ -35,3 +56,106 @@ def test_every_lru_cache_is_bounded():
     assert "cmint.bm.support_primes" not in caches
     unbounded = sorted(n for n, fn in caches.items() if fn.cache_parameters()["maxsize"] is None)
     assert unbounded == []
+
+
+FIELD_REPR = (
+    "CMFieldData(D=13, delta=QuadElem(field=QuadField(disc=13), x=-21, y=-2, den=1), "
+    "w=QuadElem(field=QuadField(disc=13), x=1, y=0, den=1), dtilde=389, "
+    "delta_tilde=QuadElem(field=QuadField(disc=389), x=-42, y=2, den=1), "
+    "rel_diff=((PrimeSpot(disc=389, l=13, kind='split', label=8), 1),), w_k=2, mode='strict')"
+)
+
+
+def value_cases():
+    """(class, constructor args, field tuple, repr) for each value class.
+
+    The reprs are the ones the generated dataclass code gave.
+    """
+    F = QuadField(13)
+    f = build_cm_field(13, QuadElem(F, -21, -2))
+    field_args = (f.D, f.delta, f.w, f.dtilde, f.delta_tilde, f.rel_diff, f.w_k, f.mode)
+    entry = BmEntry(2, 1, 1, None, ((3, 1),))
+    half = Fraction(1, 2)
+    return [
+        (QuadField, (13,), (13,), "QuadField(disc=13)"),
+        (QuadElem, (F, -21, -2), (F, -21, -2, 1),
+         "QuadElem(field=QuadField(disc=13), x=-21, y=-2, den=1)"),
+        (PrimeSpot, (389, 7, "inert"), (389, 7, "inert", None),
+         "PrimeSpot(disc=389, l=7, kind='inert', label=None)"),
+        (PrimeSpot, (389, 5, "split", 2), (389, 5, "split", 2),
+         "PrimeSpot(disc=389, l=5, kind='split', label=2)"),
+        (CMFieldData, field_args, field_args, FIELD_REPR),
+        (LogCombo, (), ((),), "LogCombo(coeffs=())"),
+        (LogCombo, (((2, half),),), (((2, half),),),
+         "LogCombo(coeffs=((2, Fraction(1, 2)),))"),
+        (TMatrix, ((7852, -1248, 208), 52, 1, 5, 1), ((7852, -1248, 208), 52, 1, 5, 1),
+         "TMatrix(num=(7852, -1248, 208), q=52, m=1, n=5, mu=1)"),
+        (BmEntry, (2, 1, 1, None, ((3, 1),)), (2, 1, 1, None, ((3, 1),)),
+         "BmEntry(p=2, b=1, route_a=1, route_b=None, per_n=((3, 1),))"),
+        (BmReport, (f, 1, (entry,), ()), (f, 1, (entry,), ()),
+         f"BmReport(field={FIELD_REPR}, m=1, entries=({entry!r},), flags=())"),
+        (_RouteA, (((2, 1),), ((2, -3, 1),), ("x",), False),
+         (((2, 1),), ((2, -3, 1),), ("x",), False),
+         "_RouteA(totals=((2, 1),), per_n=((2, -3, 1),), flags=('x',), dyadic_relaxed=False)"),
+        (BadReductionCertificate, (f, (1,), ((2, 1),), (2,), half),
+         (f, (1,), ((2, 1),), (2,), half),
+         f"BadReductionCertificate(field={FIELD_REPR}, indices=(1,), per_prime=((2, 1),), "
+         "bad_primes=(2,), bound=Fraction(1, 2))"),
+    ]
+
+
+def test_value_classes_keep_dataclass_semantics():
+    cases = value_cases()
+    assert len({cls for cls, *_ in cases}) == 10
+    for i, (cls, args, values, text) in enumerate(cases):
+        obj, again = cls(*args), cls(*args)
+        assert obj is not again and obj == again and not obj != again
+        assert obj != values and values != obj
+        other_cls, other_args, *_ = cases[i - 1]
+        assert obj != other_cls(*other_args)
+        twin = type("Twin", (cls,), {"__slots__": ()})(*args)  # same fields, another class
+        assert obj != twin and twin != obj
+        assert hash(obj) == hash(again) == hash(values)
+        assert repr(obj) == text
+        assert copy.copy(obj) == obj and copy.deepcopy(obj) == obj
+        assert pickle.loads(pickle.dumps(obj)) == obj
+        name = text[text.index("(") + 1 : text.index("=")]  # the first field
+        with pytest.raises(AttributeError):
+            setattr(obj, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+        assert getattr(obj, name) == values[0]
+    F = QuadField(13)
+    # defaults
+    assert QuadElem(F, 1, 2).den == 1
+    assert PrimeSpot(13, 3, "inert").label is None
+    assert LogCombo().coeffs == ()
+    # den-2 reduction and validation, as __post_init__ did
+    assert QuadElem(F, 4, 2, 2) == QuadElem(F, 2, 1, 1)
+    assert repr(QuadElem(F, 4, 2, 2)) == "QuadElem(field=QuadField(disc=13), x=2, y=1, den=1)"
+    assert QuadElem(F, 3, 1, 2).den == 2
+    for bad in ((F, 1, 0, 2), (F, 1, 1, 3)):
+        with pytest.raises(cmint.InputError):
+            QuadElem(*bad)
+    with pytest.raises(cmint.InputError):
+        QuadField(9)
+    # keyword construction, as the generated __init__ allowed
+    assert PrimeSpot(disc=13, l=3, kind="inert") == PrimeSpot(13, 3, "inert")
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # in a fresh interpreter: pytest itself has already loaded dataclasses here.
+    # cmint.bm must load eagerly with the CLI, since the benchmark's range-cold
+    # clock marks are installed on the modules that import loads
+    code = (
+        "import sys, cmint.cli; "
+        "print('dataclasses' in sys.modules, 'cmint.bm' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(cmint.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["False", "True"]
