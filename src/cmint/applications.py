@@ -45,19 +45,20 @@ class BadReductionCertificate(Frozen):
         object.__setattr__(self, "bound", bound)
 
 
-def _genus_two_sum(field: CMFieldData) -> LogCombo:
+def _genus_two_sum(field: CMFieldData) -> tuple[tuple[int, ...], LogCombo]:
+    """The indices (D − n²)/4 over odd 0 < n < √D, and Σ b_k over them."""
+    indices = tuple((field.D - n * n) // 4 for n in range(1, isqrt(field.D - 1) + 1, 2))
     total = LogCombo()
-    for n in range(1, isqrt(field.D - 1) + 1, 2):
-        total = total + bm_full(field, (field.D - n * n) // 4)
-    return total
+    for k in indices:
+        total = total + bm_full(field, k)
+    return indices, total
 
 
 def bad_reduction_primes(field: CMFieldData) -> BadReductionCertificate:
     """Primes where the CM abelian surfaces degenerate to a product."""
     if field.mode != "strict":
         raise InputError("bad-reduction certificates require strict mode")
-    indices = tuple((field.D - n * n) // 4 for n in range(1, isqrt(field.D - 1) + 1, 2))
-    total = _genus_two_sum(field)
+    indices, total = _genus_two_sum(field)
     bound = Fraction(field.D * field.dtilde, 64)
     bad = []
     for l, c in total.coeffs:
@@ -80,7 +81,7 @@ def igusa_denominator_bounds(field: CMFieldData) -> dict[str, dict[int, int]]:
     """Prime-exponent bounds for the denominators of I1, I2, I3 at the CM point."""
     if field.mode != "strict":
         raise InputError("denominator bounds require strict mode")
-    total = _genus_two_sum(field)
+    _, total = _genus_two_sum(field)
     out: dict[str, dict[int, int]] = {}
     for name, k in (("A1", 3), ("A2", 2), ("A3", 2)):
         exps: dict[int, int] = {}

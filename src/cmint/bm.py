@@ -57,22 +57,6 @@ class BmReport(Frozen):
         object.__setattr__(self, "flags", flags)
 
 
-class _RouteA(Frozen):
-    __slots__ = _fields = ("totals", "per_n", "flags", "dyadic_relaxed")
-
-    def __init__(
-        self,
-        totals: tuple[tuple[int, int], ...],
-        per_n: tuple[tuple[int, int, int], ...],  # (p, signed n, term)
-        flags: tuple[str, ...],
-        dyadic_relaxed: bool,
-    ):
-        object.__setattr__(self, "totals", totals)
-        object.__setattr__(self, "per_n", per_n)
-        object.__setattr__(self, "flags", flags)
-        object.__setattr__(self, "dyadic_relaxed", dyadic_relaxed)
-
-
 def _admissible_n(m2dt: int, div: int, lo: int, hi: int) -> list[int]:
     """The n in [lo, hi], ascending, with div | m2dt − n².
 
@@ -131,8 +115,13 @@ def _spot_exps(vec: list, field: CMFieldData, n: int, m: int, l: int, vl: int, r
     return True
 
 
-def _route_a(field: CMFieldData, m: int) -> _RouteA:
+def _route_a(
+    field: CMFieldData, m: int
+) -> tuple[dict[int, list[tuple[int, int]]], tuple[str, ...], bool]:
     """One scan over signed n computing every prime's definitional terms.
+
+    Returns each prime's (signed n, term) pairs in scan order, the flags, and
+    whether a dyadic entry in the different relaxed membership at 2.
 
     Membership comes first: only spots over the primes dividing 2D can carry
     a negative exponent, so it is decided there from v_l(m²D̃ − n²) alone.
@@ -150,8 +139,7 @@ def _route_a(field: CMFieldData, m: int) -> _RouteA:
     rows_at = {l: () for l, _ in fixed}  # a factorization prime's rows; () if fixed
     m2dt = m * m * field.dtilde
     nmax = isqrt(m2dt - 1)
-    totals: dict[int, int] = {}
-    per_n: list[tuple[int, int, int]] = []
+    terms: dict[int, list[tuple[int, int]]] = {}
     neg, dual = set(), []  # |n| of the members n < 0; the n > 0 whose −n is one too
     for n in _admissible_n(m2dt, div, -nmax, nmax):
         big_n = m2dt - n * n
@@ -174,7 +162,7 @@ def _route_a(field: CMFieldData, m: int) -> _RouteA:
         # ρ of the vector with one non-split spot's exponent lowered by one:
         # the product of (e + 1) over split spots, 0 if an inert e is odd. So an
         # n has one inert term or only ramified ones, which lie over the primes
-        # of the different, met first and in order: per_n follows the scan
+        # of the different, met first and in order
         split_prod, odd_inert = 1, 0
         for _, kind, exp, _, _ in vec:
             if kind == "split":
@@ -189,11 +177,9 @@ def _route_a(field: CMFieldData, m: int) -> _RouteA:
                 odd += -1 if exp % 2 else 1
             if odd:
                 continue
-            term = (exp - rel + 1) * split_prod * f
-            totals[p] = totals.get(p, 0) + term
-            per_n.append((p, n, term))
+            terms.setdefault(p, []).append((n, (exp - rel + 1) * split_prod * f))
     flags = tuple(f"dual-membership:|n|={k}" for k in dual)
-    return _RouteA(tuple(sorted(totals.items())), tuple(per_n), flags, dyadic_relaxed)
+    return terms, flags, dyadic_relaxed
 
 
 def support_primes(field: CMFieldData, m: int) -> tuple[int, ...]:
@@ -247,12 +233,16 @@ def _route_b_table(field: CMFieldData, m: int) -> MappingProxyType[int, int] | N
     return _route_b(field, m)
 
 
+def _route_b_at(table: MappingProxyType[int, int] | None, m: int, p: int) -> int | None:
+    """b_m(p) from `_route_b_table(field, m)`; None when it is None or p | m."""
+    return None if table is None or m % p == 0 else table.get(p, 0)
+
+
 def bm_p_product(field: CMFieldData, m: int, p: int) -> int | None:
     """b_m(p) from the product formula; None when the guards fail."""
     if m < 1 or not is_prime(p):
         raise InputError("need m >= 1 and p prime")
-    table = _route_b_table(field, m)
-    return None if table is None or m % p == 0 else table.get(p, 0)
+    return _route_b_at(_route_b_table(field, m), m, p)
 
 
 @lru_cache(maxsize=4096)
@@ -260,29 +250,27 @@ def bm_report(field: CMFieldData, m: int) -> BmReport:
     """Both routes for every support prime, cross-checked."""
     if m < 1:
         raise InputError("need m >= 1")
-    ra = _route_a(field, m)
-    totals = dict(ra.totals)
+    terms, flags, dyadic_relaxed = _route_a(field, m)
     support = support_primes(field, m)
-    if not ra.dyadic_relaxed:
-        stray = {p for p, v in totals.items() if v and p not in support}
+    if not dyadic_relaxed:
+        known = set(support)
+        stray = sorted(p for p, ts in terms.items() if p not in known and sum(t for _, t in ts))
         if stray:
             raise InternalConsistencyError(
-                f"nonzero multiplicity outside the support primes: {sorted(stray)}"
+                f"nonzero multiplicity outside the support primes: {stray}"
             )
-    by_prime: dict[int, list[tuple[int, int]]] = {}
-    for q, n, t in ra.per_n:
-        by_prime.setdefault(q, []).append((n, t))
     table = _route_b_table(field, m)
     entries = []
     for p in support:
-        a_val = totals.get(p, 0)
-        b_val = None if table is None or m % p == 0 else table.get(p, 0)
+        per_n = tuple(terms.get(p, ()))
+        a_val = sum(t for _, t in per_n)
+        b_val = _route_b_at(table, m, p)
         if b_val is not None and b_val != a_val:
             raise InternalConsistencyError(
                 f"route disagreement at p={p}, m={m}: {a_val} (definition) vs {b_val} (product)"
             )
-        entries.append(BmEntry(p, a_val, a_val, b_val, tuple(by_prime.get(p, ()))))
-    return BmReport(field, m, tuple(entries), ra.flags)
+        entries.append(BmEntry(p, a_val, a_val, b_val, per_n))
+    return BmReport(field, m, tuple(entries), flags)
 
 
 def bm_full(field: CMFieldData, m: int) -> LogCombo:
@@ -296,12 +284,16 @@ def intersection_number(field: CMFieldData, m: int) -> LogCombo:
     return bm_full(field, m).scaled(Fraction(1, 2))
 
 
+def field_header(field: CMFieldData) -> dict:
+    """The {D, delta, mode} head of a report and of every CLI payload about `field`."""
+    d = field.delta
+    return {"D": field.D, "delta": {"x": d.x, "y": d.y, "den": d.den}, "mode": field.mode}
+
+
 def report_json_obj(rep: BmReport) -> dict:
-    f = rep.field
+    """The report's JSON shape: the CLI prints it and the cache stores it."""
     return {
-        "D": f.D,
-        "delta": {"x": f.delta.x, "y": f.delta.y, "den": f.delta.den},
-        "mode": f.mode,
+        **field_header(rep.field),
         "m": rep.m,
         "entries": [
             {

@@ -16,10 +16,10 @@ from .applications import (
     humbert_intersection,
     igusa_denominator_bounds,
 )
-from .bm import bm_report, report_json_obj
+from .bm import bm_report, field_header, report_json_obj
 from .cmfield import CMFieldData, build_cm_field
 from .errors import FieldRejected, InputError, InternalConsistencyError
-from .logcombo import LogCombo
+from .logcombo import LogCombo, rational_json
 from .quadfield import QuadElem, QuadField
 
 _RANGE = re.compile(r"^(\d+)(?:-(\d+))?$")
@@ -69,26 +69,11 @@ def load_field(path: str, mode_override: str | None = None) -> CMFieldData:
     return build_cm_field(D, elem, mode)
 
 
-def _field_obj(field: CMFieldData) -> dict:
-    return {
-        "D": field.D,
-        "delta": {"x": field.delta.x, "y": field.delta.y, "den": field.delta.den},
-        "mode": field.mode,
-    }
-
-
-def _frac_json(x: Fraction) -> int | str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return int(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _report_objs(field: CMFieldData, ms: list[int], use_cache: bool) -> list[dict]:
     base = cache.cache_dir()
     out = []
     for m in ms:
-        obj = cache.read(base, {**_field_obj(field), "m": m}) if use_cache else None
+        obj = cache.read(base, {**field_header(field), "m": m}) if use_cache else None
         if obj is None:
             obj = report_json_obj(bm_report(field, m))
             if use_cache:
@@ -97,28 +82,34 @@ def _report_objs(field: CMFieldData, ms: list[int], use_cache: bool) -> list[dic
     return out
 
 
-def _print_json(payload: dict) -> None:
+def _print_json(payload: dict, field: CMFieldData | None = None) -> None:
+    """Print a command's JSON; one about a permissive `field` is marked conjectural."""
+    if field is not None and field.mode == "permissive":
+        payload["conjectural"] = True
     print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _write_csv(field: CMFieldData, columns: tuple[str, ...], rows) -> None:
+    """CSV rows (m, *columns) about `field`, each after its D,x,y,den,mode."""
+    d = field.delta
+    head = [field.D, d.x, d.y, d.den, field.mode]
+    w = csv.writer(sys.stdout)
+    w.writerow(["D", "x", "y", "den", "mode", "m", *columns])
+    w.writerows([*head, *row] for row in rows)
 
 
 def _cmd_bm(args) -> int:
     field = load_field(args.field, args.mode)
     reports = _report_objs(field, parse_m_values(args.m), not args.no_cache)
     if args.format == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["D", "x", "y", "den", "mode", "m", "p", "b", "route_a", "route_b"])
-        for obj in reports:
-            d = obj["delta"]
-            for e in obj["entries"]:
-                w.writerow(
-                    [obj["D"], d["x"], d["y"], d["den"], obj["mode"], obj["m"],
-                     e["p"], e["b"], e["route_a"], e["route_b"]]
-                )
-        return 0
-    payload = {"reports": reports}
-    if field.mode == "permissive":
-        payload["conjectural"] = True
-    _print_json(payload)
+        rows = (
+            (obj["m"], e["p"], e["b"], e["route_a"], e["route_b"])
+            for obj in reports
+            for e in obj["entries"]
+        )
+        _write_csv(field, ("p", "b", "route_a", "route_b"), rows)
+    else:
+        _print_json({"reports": reports}, field)
     return 0
 
 
@@ -126,58 +117,45 @@ def _cmd_intersect(args) -> int:
     field = load_field(args.field, args.mode)
     results = []
     for obj in _report_objs(field, parse_m_values(args.m), not args.no_cache):
-        combo = LogCombo.from_dict({e["p"]: e["b"] for e in obj["entries"]})
-        results.append({"m": obj["m"], "intersection": combo.scaled(Fraction(1, 2)).json_obj()})
+        half = LogCombo.from_dict({e["p"]: Fraction(e["b"], 2) for e in obj["entries"]})
+        results.append({"m": obj["m"], "intersection": half.json_obj()})
     if args.format == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["D", "x", "y", "den", "mode", "m", "p", "coefficient"])
-        d = _field_obj(field)
-        for row in results:
-            for p, c in sorted(row["intersection"].items(), key=lambda kv: int(kv[0])):
-                w.writerow(
-                    [d["D"], d["delta"]["x"], d["delta"]["y"], d["delta"]["den"],
-                     d["mode"], row["m"], p, c]
-                )
-        return 0
-    payload = _field_obj(field)
-    payload["results"] = results
-    if field.mode == "permissive":
-        payload["conjectural"] = True
-    _print_json(payload)
+        rows = ((r["m"], p, c) for r in results for p, c in r["intersection"].items())
+        _write_csv(field, ("p", "coefficient"), rows)
+    else:
+        _print_json({**field_header(field), "results": results}, field)
     return 0
 
 
 def _cmd_humbert(args) -> int:
     field = load_field(args.field, args.mode)
     combo = humbert_intersection(field, args.m)
-    payload = _field_obj(field)
-    payload["m"] = args.m
-    payload["humbert_intersection"] = combo.json_obj()
-    if field.mode == "permissive":
-        payload["conjectural"] = True
-    _print_json(payload)
+    payload = {**field_header(field), "m": args.m, "humbert_intersection": combo.json_obj()}
+    _print_json(payload, field)
     return 0
 
 
 def _cmd_badprimes(args) -> int:
     field = load_field(args.field, args.mode)
     cert = bad_reduction_primes(field)
-    payload = _field_obj(field)
-    payload["indices"] = list(cert.indices)
-    payload["per_prime"] = {str(l): c for l, c in cert.per_prime}
-    payload["bad_primes"] = list(cert.bad_primes)
-    payload["bound"] = _frac_json(cert.bound)
-    _print_json(payload)
+    payload = {
+        **field_header(field),
+        "indices": list(cert.indices),
+        "per_prime": {str(l): c for l, c in cert.per_prime},
+        "bad_primes": list(cert.bad_primes),
+        "bound": rational_json(cert.bound),
+    }
+    _print_json(payload, field)
     return 0
 
 
 def _cmd_igusa(args) -> int:
     field = load_field(args.field, args.mode)
     bounds = igusa_denominator_bounds(field)
-    payload = _field_obj(field)
+    payload = field_header(field)
     for name, exps in bounds.items():
         payload[name] = {str(p): e for p, e in sorted(exps.items())}
-    _print_json(payload)
+    _print_json(payload, field)
     return 0
 
 
@@ -210,19 +188,16 @@ def _build_parser() -> argparse.ArgumentParser:
             help="override the mode recorded in the field file",
         )
 
-    sp = sub.add_parser("bm", help="multiplicities b_m(p) with per-n breakdown")
-    field_opts(sp)
-    sp.add_argument("--m", required=True, help="m values: '3', '1-10', or '1,3,9-12'")
-    sp.add_argument("--no-cache", action="store_true", help="skip the result cache")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.set_defaults(handler=_cmd_bm)
-
-    sp = sub.add_parser("intersect", help="arithmetic intersection numbers ½·b_m")
-    field_opts(sp)
-    sp.add_argument("--m", required=True, help="m values: '3', '1-10', or '1,3,9-12'")
-    sp.add_argument("--no-cache", action="store_true", help="skip the result cache")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.set_defaults(handler=_cmd_intersect)
+    for name, handler, text in (
+        ("bm", _cmd_bm, "multiplicities b_m(p) with per-n breakdown"),
+        ("intersect", _cmd_intersect, "arithmetic intersection numbers ½·b_m"),
+    ):
+        sp = sub.add_parser(name, help=text)
+        field_opts(sp)
+        sp.add_argument("--m", required=True, help="m values: '3', '1-10', or '1,3,9-12'")
+        sp.add_argument("--no-cache", action="store_true", help="skip the result cache")
+        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        sp.set_defaults(handler=handler)
 
     sp = sub.add_parser("humbert", help="intersection with the m-th Humbert surface")
     field_opts(sp)

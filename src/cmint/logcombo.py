@@ -11,6 +11,11 @@ from fractions import Fraction
 from .frozen import Frozen
 
 
+def rational_json(c: Fraction) -> int | str:
+    """Exact JSON form of a rational: an int, or the string "num/den"."""
+    return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
 class LogCombo(Frozen):
     __slots__ = _fields = ("coeffs",)
 
@@ -39,8 +44,5 @@ class LogCombo(Frozen):
         return LogCombo.from_dict({p: c * s for p, c in self.coeffs})
 
     def json_obj(self) -> dict[str, int | str]:
-        """Exact JSON form: integer coefficients as ints, others as "num/den"."""
-        out: dict[str, int | str] = {}
-        for p, c in self.coeffs:
-            out[str(p)] = int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        return out
+        """Exact JSON form, keyed by the primes as strings (see `rational_json`)."""
+        return {str(p): rational_json(c) for p, c in self.coeffs}

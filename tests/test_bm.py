@@ -9,7 +9,6 @@ from cmint import bm
 from cmint.bm import (
     _admissible_n,
     _route_a,
-    _RouteA,
     _split_ord,
     bm_full,
     bm_p_product,
@@ -19,7 +18,7 @@ from cmint.bm import (
     support_primes,
 )
 from cmint.cmfield import CMFieldData, build_cm_field, classify_in_reflex_cm, rho
-from cmint.errors import InputError
+from cmint.errors import InputError, InternalConsistencyError
 from cmint.localdensity import b_l_factors
 from cmint.numutil import is_squarefree, ord_p, prime_factors, primes_up_to
 from cmint.padic import hensel_sqrt
@@ -40,7 +39,7 @@ F5 = QuadField(5)
 
 def test_worked_instance():
     # route A itself has nothing at a prime outside the support
-    assert dict(_route_a(worked_field(), 1).totals) == {2: 2}
+    assert _route_a(worked_field(), 1) == ({2: [(-1, 2)]}, (), False)
 
 
 def test_report_json_shape():
@@ -141,9 +140,9 @@ def test_nonzero_needs_support():
             sup = set(support_primes(f, m))
             coeffs = bm_full(f, m).as_dict()
             assert set(coeffs) <= sup
-            totals = dict(_route_a(f, m).totals)
+            terms = _route_a(f, m)[0]
             for p in sorted(sup):
-                assert totals.get(p, 0) == int(coeffs.get(p, 0))
+                assert sum(t for _, t in terms.get(p, ())) == int(coeffs.get(p, 0))
 
 
 def test_vanishing_range():
@@ -165,14 +164,18 @@ def test_permissive_field_values():
 
 
 def per_spot_route_a(field, m):
-    """Route A spot by spot: every signed n, ord_at at every spot, cmfield.rho."""
+    """Route A spot by spot: every signed n, ord_at at every spot, cmfield.rho.
+
+    Returns what `_route_a` does: each prime's (n, term) pairs in scan order,
+    the flags and whether membership at 2 is relaxed.
+    """
     D, Ft = field.D, field.reflex
     rel = dict(field.rel_diff)
     rel_primes = {s.l for s in rel}
     dyadic_relaxed = 2 in rel_primes
     m2dt = m * m * field.dtilde
     nmax = isqrt(m2dt - 1)
-    totals, per_n, passing = {}, [], {}
+    terms, passing = {}, {}
     for n in range(-nmax, nmax + 1):
         big_n = m2dt - n * n
         if big_n % (D if dyadic_relaxed else 4 * D):
@@ -202,13 +205,11 @@ def per_spot_route_a(field, m):
             r = rho(field, tuple(adj.items()))
             if r == 0:
                 continue
-            term = (exp - rel.get(spot, 0) + 1) * r * spot.f
-            totals[spot.l] = totals.get(spot.l, 0) + term
-            per_n.append((spot.l, n, term))
+            terms.setdefault(spot.l, []).append((n, (exp - rel.get(spot, 0) + 1) * r * spot.f))
     flags = tuple(
         f"dual-membership:|n|={k}" for k in sorted(passing) if k % D and len(passing[k]) == 2
     )
-    return _RouteA(tuple(sorted(totals.items())), tuple(per_n), flags, dyadic_relaxed)
+    return terms, flags, dyadic_relaxed
 
 
 def shared_split_factors(field, m):
@@ -233,7 +234,7 @@ def test_route_a_matches_per_spot_scan():
         for m in range(1, 31):
             want = per_spot_route_a(f, m)
             assert _route_a(f, m) == want, (f.D, f.delta, f.mode, m)
-            nonzero += bool(want.totals)
+            nonzero += bool(want[0])
             shared += shared_split_factors(f, m)
     assert nonzero >= 150 and shared >= 1000
 
@@ -267,10 +268,10 @@ def test_route_a_matches_per_spot_scan_with_dyadic_different():
                 )
                 for m in range(1, 13):
                     want = per_spot_route_a(g, m)
-                    assert want.dyadic_relaxed
+                    assert want[2]  # dyadic_relaxed
                     assert _route_a(g, m) == want, (f.D, f.delta, spot, e, m)
                     checked += 1
-                    dyadic_terms += sum(p == 2 for p, _, _ in want.per_n)
+                    dyadic_terms += len(want[0].get(2, ()))
     assert checked == 72 and dyadic_terms >= 20
 
 
@@ -363,3 +364,9 @@ def test_routes_stay_independent():
     assert not a & {"_route_b", "b_l_factors", "admissible_matrices", "t_matrix", "alpha_l"}
     b = code_names(bm._route_b.__wrapped__.__code__)
     assert not b & {"_route_a", "ord_at", "rho", "splitting"}
+
+
+def test_route_a_prime_outside_the_support_is_an_error(monkeypatch):
+    monkeypatch.setattr(bm, "support_primes", lambda field, m: (3,))
+    with pytest.raises(InternalConsistencyError, match=r"support primes: \[2\]"):
+        bm_report.__wrapped__(worked_field(), 1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -332,3 +333,120 @@ def test_selfcheck_reports_route_disagreement(monkeypatch, capsys):
     checks = {c["name"]: c for c in json.loads(out.out)["checks"]}
     assert checks["route-agreement"]["ok"] is False
     assert "route disagreement" in checks["route-agreement"]["detail"]
+
+
+GOLDEN_FIELDS = {
+    "389": {"D": 13, "x": -21, "y": -2, "den": 1},  # D̃ = 389, strict
+    "permissive": {"x": -25, "y": -3, "mode": "permissive"},  # D̃ = 145
+    "worked": {},
+}
+
+GOLDEN_COMMANDS = {
+    "bm-json": ["bm", "--m", "1-40", "--no-cache"],
+    "bm-csv": ["bm", "--m", "1-40", "--no-cache", "--format", "csv"],
+    "intersect-json": ["intersect", "--m", "1-40", "--no-cache"],
+    "intersect-csv": ["intersect", "--m", "1-40", "--no-cache", "--format", "csv"],
+    "humbert-7": ["humbert", "--m", "7"],
+    "humbert-4": ["humbert", "--m", "4"],
+    "badprimes": ["badprimes"],
+    "igusa": ["igusa"],
+}
+
+# SHA-256 of stdout; each of these exits 0 with nothing on stderr
+GOLDEN = {
+    ("389", "bm-json"):
+        "ac0e81e59d8bddf7026fae0f1417bc2490803bde79945a07d458b3014c5cfb86",
+    ("389", "bm-csv"):
+        "95169502e440140535685eaf2da3fed9ead0a292c94ba5ddbfec561ddd7b485e",
+    ("389", "intersect-json"):
+        "1f68f99138acca3f90c0fb77641d67a51c0460c8127448fe4a605c8a432a1269",
+    ("389", "intersect-csv"):
+        "de1326f5e5fec900e9e0f9fb62be4804ea732e31635398b31989fcf6fa56b113",
+    ("389", "humbert-7"):
+        "01c7435e91b311bb1fdbfd85bd4d10324699ceff58d77f5212780d528ff29308",
+    ("389", "humbert-4"):
+        "7475ccc8dd3e8b86615dc1eedb094869a8d629c3cc82521348a3782156aeb9f6",
+    ("389", "badprimes"):
+        "cd2b23c931432d0ffbf1ecb0a2800de0ec4d4badba3e9bce37bb5b515fb3429d",
+    ("389", "igusa"):
+        "7f04d646e93e1f78423bf87c5ba4b1706c9642b8d3805c9244faeed256557014",
+    ("permissive", "bm-json"):
+        "6b035a15a83d663e8767e15e9308e28e8c5c6023186adeaa69e786d9683f159b",
+    ("permissive", "bm-csv"):
+        "0e5d1276ef59963b3eb8a8703cfcf2fe091d3aea9cb880b6e01dd94a40735db1",
+    ("permissive", "intersect-json"):
+        "53918dbf13e021a2c085c4dc6ffa89fabdf7c8578466909c0489da30f1c78ce9",
+    ("permissive", "intersect-csv"):
+        "5541c3616541a897c2a3932a40fb76730d635d783ad7e752429af5bd026cf9bb",
+    ("permissive", "humbert-7"):
+        "6c60237794c671328f2542192e179778ec8ec2a66be534e2804c18993ad149f4",
+    ("permissive", "humbert-4"):
+        "3755df9057b79c1e6dc63b3fc2e26c2ef317a2fa8c6647d35fcc00ae2887c31e",
+    ("worked", "bm-json"):
+        "0dd4c518e8695faa5aaa7ec3ad4c938b8da423a6a7c0db6e20a5f9bb2d1523c7",
+    ("worked", "bm-csv"):
+        "3ae4d2604fd07761eebe0f66a93db2c0db6d7ad7769809aa975379c43d811ffc",
+    ("worked", "intersect-json"):
+        "33f2478bfd6ec29cce5976f357dbc0d4f617c74df5595b4572ce21ff9222b1bb",
+    ("worked", "intersect-csv"):
+        "56ef95b4d1be49956f1b308a6a88edc41b65eed2131254d7b2510f99ae9a12e5",
+    ("worked", "humbert-7"):
+        "ecca059468ad873fe755756832bb458873d89b43583e332b58ed821bcf7e23e5",
+    ("worked", "humbert-4"):
+        "b3b3682e131e558549fbb76057c96221eb6f6d18b544088f51b472fad4001ca2",
+    ("worked", "badprimes"):
+        "c0322898bcd6a46e2224d4f0289a9a40f4851a1ea162d3beaeb2056fa403fa23",
+    ("worked", "igusa"):
+        "3eb8b81defe7cd1e27be4d8cb138ee1166c55a3dca4cecbe4c6bafef287fdbad",
+}
+
+# the strict-only commands refuse the permissive field: exit 2, no stdout
+REFUSED = {
+    ("permissive", "badprimes"): "bad-reduction certificates require strict mode",
+    ("permissive", "igusa"): "denominator bounds require strict mode",
+}
+
+
+def golden_digests(tmp_path, capsys) -> dict:
+    """Run every golden command on every golden field; the stdout digests."""
+    out = {}
+    for fname, spec in GOLDEN_FIELDS.items():
+        field = write_field(tmp_path / f"{fname}.json", **spec)
+        for cname, (command, *rest) in GOLDEN_COMMANDS.items():
+            rc = cli.run([command, "--field", field, *rest])
+            cap = capsys.readouterr()
+            if (fname, cname) in REFUSED:
+                err = {"error": "invalid-input", "detail": REFUSED[fname, cname]}
+                assert (rc, cap.out, cap.err) == (2, "", json.dumps(err) + "\n")
+            else:
+                assert (rc, cap.err) == (0, ""), (fname, cname)
+                out[fname, cname] = hashlib.sha256(cap.out.encode()).hexdigest()
+    return out
+
+
+def test_golden_output_bytes(tmp_path, cache_dir, capsys):
+    # pins every byte the commands print: indentation, key order, CSV line
+    # ends and exact halves ("b/2")
+    assert golden_digests(tmp_path, capsys) == GOLDEN
+
+
+def test_intersect_halves_any_cached_entries(tmp_path, cache_dir, capsys):
+    # a file cache.read accepts may hold entries no computation gives: primes
+    # out of order, a repeated prime (the last one counts), zeros and odd b
+    field = write_field(tmp_path / "f.json")
+    assert cli.run(["bm", "--field", field, "--m", "1"]) == 0
+    capsys.readouterr()
+    path = report_file(cache_dir, 1)
+    obj = json.loads(path.read_text())
+    entry = obj["entries"][0]
+    pairs = ((11, 3), (2, 5), (3, 0), (2, 7), (5, -1))
+    path.write_text(json.dumps({**obj, "entries": [{**entry, "p": p, "b": b} for p, b in pairs]}))
+    assert cli.run(["intersect", "--field", field, "--m", "1"]) == 0
+    out = capsys.readouterr().out
+    assert '"11": "3/2",\n        "2": "7/2",\n        "5": "-1/2"' in out
+    assert cli.run(["intersect", "--field", field, "--m", "1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "5,-13,1,2,strict,1,2,7/2",
+        "5,-13,1,2,strict,1,5,-1/2",
+        "5,-13,1,2,strict,1,11,3/2",
+    ]
