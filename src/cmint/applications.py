@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .bm import bm_full
+from .bm import bm_report
 from .cmfield import CMFieldData
 from .errors import InputError, InternalConsistencyError
 from .frozen import Frozen
@@ -13,18 +13,25 @@ from .logcombo import LogCombo
 from .numutil import is_perfect_square
 
 
+def _b_sum(field: CMFieldData, indices) -> dict[int, int]:
+    """Σ b_k(p) over the indices k, by prime p."""
+    totals: dict[int, int] = {}
+    for k in indices:
+        for e in bm_report(field, k).entries:
+            totals[e.p] = totals.get(e.p, 0) + e.b
+    return totals
+
+
 def humbert_intersection(field: CMFieldData, m: int) -> LogCombo:
     """Intersection with the m-th Humbert surface: ½·Σ b_{(Dm−n²)/4}."""
     if m < 1:
         raise InputError("need m >= 1")
-    if is_perfect_square(field.D * m):
+    Dm = field.D * m
+    if is_perfect_square(Dm):
         raise InputError("D*m must not be a perfect square")
-    total = LogCombo()
-    for n in range(1, isqrt(field.D * m) + 1):
-        num = field.D * m - n * n
-        if num % 4 == 0:
-            total = total + bm_full(field, num // 4)
-    return total.scaled(Fraction(1, 2))
+    indices = [(Dm - n * n) // 4 for n in range(1, isqrt(Dm) + 1) if (Dm - n * n) % 4 == 0]
+    totals = _b_sum(field, indices)
+    return LogCombo.from_dict({p: Fraction(b, 2) for p, b in totals.items()})
 
 
 class BadReductionCertificate(Frozen):
@@ -48,10 +55,7 @@ class BadReductionCertificate(Frozen):
 def _genus_two_sum(field: CMFieldData) -> tuple[tuple[int, ...], LogCombo]:
     """The indices (D − n²)/4 over odd 0 < n < √D, and Σ b_k over them."""
     indices = tuple((field.D - n * n) // 4 for n in range(1, isqrt(field.D - 1) + 1, 2))
-    total = LogCombo()
-    for k in indices:
-        total = total + bm_full(field, k)
-    return indices, total
+    return indices, LogCombo.from_dict(_b_sum(field, indices))
 
 
 def bad_reduction_primes(field: CMFieldData) -> BadReductionCertificate:

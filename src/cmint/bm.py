@@ -245,9 +245,12 @@ def bm_p_product(field: CMFieldData, m: int, p: int) -> int | None:
     return _route_b_at(_route_b_table(field, m), m, p)
 
 
-@lru_cache(maxsize=4096)
 def bm_report(field: CMFieldData, m: int) -> BmReport:
-    """Both routes for every support prime, cross-checked."""
+    """Both routes for every support prime, cross-checked.
+
+    Not memoized, so a report the caller drops is freed; the CLI's cache
+    files are the report memo.
+    """
     if m < 1:
         raise InputError("need m >= 1")
     terms, flags, dyadic_relaxed = _route_a(field, m)
@@ -281,7 +284,7 @@ def bm_full(field: CMFieldData, m: int) -> LogCombo:
 
 def intersection_number(field: CMFieldData, m: int) -> LogCombo:
     """The arithmetic intersection multiplicity, ½·b_m."""
-    return bm_full(field, m).scaled(Fraction(1, 2))
+    return LogCombo.from_dict({e.p: Fraction(e.b, 2) for e in bm_report(field, m).entries})
 
 
 def field_header(field: CMFieldData) -> dict:

@@ -63,7 +63,11 @@ def load_field(path: str, mode_override: str | None = None) -> CMFieldData:
         raise FieldRejected("bad-mode", str(mode))
     D, x, y, den = vals
     try:
-        elem = QuadElem(QuadField(D), x, y, den)
+        base = QuadField(D)
+    except InputError as exc:
+        raise FieldRejected("D-not-valid", f"D = {D} must be a prime ≡ 1 mod 4") from exc
+    try:
+        elem = QuadElem(base, x, y, den)
     except InputError as exc:
         raise FieldRejected("invalid-delta", str(exc)) from exc
     return build_cm_field(D, elem, mode)

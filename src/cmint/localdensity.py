@@ -3,45 +3,29 @@
 `b_l_factors` evaluates the local factor at l of one (n, μ) term of the
 product-formula route for every prime p at once: p enters only through
 whether l = p, so the factor is returned as the pair (value if l = p, value
-if l ≠ p). It reads the Hilbert symbol (−α, l)_l of the unit α = `alpha_l`
-as the Kronecker symbol (−α | l). `beta_l_factor` evaluates the
-corresponding local Whittaker value for the isogeny-counting variant (m = q
-an odd prime split in the real quadratic base) with `hilbert` itself. The two
-are related by a factor of 2 at l = p and agree elsewhere; tests exploit
-that, and so also check the symbol identity.
+if l ≠ p). It reads the Hilbert symbol (−α, l)_l of the unit α that
+`_alpha_unit` finds as the Kronecker symbol (−α | l).
 """
 
 from __future__ import annotations
 
 from .cmfield import CMFieldData, spot_kinds
 from .errors import InputError, InternalConsistencyError
-from .numutil import is_prime, ord_p
-from .padic import hilbert, kronecker
+from .numutil import ord_p
+from .padic import kronecker
 from .tmatrix import TMatrix
 
 
-def alpha_l(T: TMatrix, l: int) -> int:
-    """A unit represented by the form ax² + 2bxy + cy² over Z_l.
-
-    Returned as a residue mod l (odd l) or mod 8 (l = 2). The entries must be
-    l-integral. The representative is the first l-unit among c, a and
-    a + 2b + c, the values at (x, y) = (0, 1), (1, 0), (1, 1). That is the
-    unit the search over x, y mod l (mod 8 for l = 2) would meet first: when
-    c and a are not units, a + 2b + c ≡ 2b is a unit exactly when b is (odd
-    l), and every value of the form is even (l = 2).
-    """
-    if not is_prime(l):
-        raise InputError(f"alpha_l needs a prime, got {l}")
-    if any(v % l ** ord_p(T.q, l) for v in T.num):
-        raise InputError("alpha_l needs an l-integral matrix")
-    return _alpha_unit(T, l)
-
-
 def _alpha_unit(T: TMatrix, l: int) -> int:
-    """`alpha_l` for a prime l and an l-integral T, read off T's numerators.
+    """A unit α represented by the form ax² + 2bxy + cy² of T over Z_l, as a
+    residue mod l (odd l) or mod 8 (l = 2). Needs a prime l and an l-integral T.
 
-    With s = l^v_l(q) the l-part of the denominator q, the entries are the
-    numerators over s divided by the l-unit q/s.
+    α is the first l-unit among c, a and a + 2b + c, the values at
+    (x, y) = (0, 1), (1, 0), (1, 1). That is the unit the search over x, y
+    mod l (mod 8 for l = 2) would meet first: when c and a are not units,
+    a + 2b + c ≡ 2b is a unit exactly when b is (odd l), and every value of
+    the form is even (l = 2). With s = l^v_l(q) the l-part of the denominator
+    q, the entries are the numerators over s divided by the l-unit q/s.
     """
     s = l ** ord_p(T.q, l)
     if any(v % s for v in T.num):
@@ -93,34 +77,3 @@ def b_l_factors(field: CMFieldData, T: TMatrix, l: int, t_l: int) -> tuple[int, 
     else:
         raise InternalConsistencyError("l | m must be unramified in the base field")
     return v, v
-
-
-def beta_l_factor(field: CMFieldData, T: TMatrix, q: int, p: int, l: int) -> int:
-    """Local Whittaker value at l for the degree-q isogeny count (m = q)."""
-    if T.m != q or not is_prime(q) or q == 2:
-        raise InputError("beta factors need m = q an odd prime")
-    if kronecker(field.D, q) != 1:
-        raise InputError("beta factors need q split in the base field")
-    if p == q or not is_prime(p):
-        raise InputError("beta factors need a prime p ≠ q")
-    n = T.n
-    Q4 = q * q * field.dtilde - n * n
-    if l != q:
-        t_l = ord_p(Q4, l) - ord_p(4 * field.D, l)
-        if t_l < 0:
-            raise InputError("matrix is not integral enough at l for a Whittaker value")
-        al = alpha_l(T, l)
-        if l == p:
-            h_pow = hilbert(-al, p, p) if t_l % 2 else 1
-            return 1 - h_pow
-        if hilbert(-al, l, l) == -1:
-            return 1 if t_l % 2 == 0 else 0
-        return t_l + 1
-    if n % q:
-        return 1
-    t_q = ord_p(Q4, q) - 2
-    if t_q == 0:
-        return _reflex_split_factor(field, q)
-    if t_q < 0:
-        raise InternalConsistencyError("q | n forces t_q >= 0")
-    return 0 if hilbert(-alpha_l(T, q), q, q) == -1 else 2 * (t_q + 2)

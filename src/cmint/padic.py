@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InputError, InternalConsistencyError
 from .numutil import is_prime, ord_p
@@ -116,7 +115,6 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
     return r
 
 
-@lru_cache(maxsize=1 << 16)
 def hensel_sqrt(a: Rational, l: int, k: int) -> int | None:
     """Canonical square root of the l-adic unit a modulo l^k, or None.
 

@@ -11,7 +11,7 @@ from math import gcd, isqrt
 
 from cmint.bm import bm_report
 from cmint.cmfield import build_cm_field
-from cmint.localdensity import b_l_factors, beta_l_factor
+from cmint.localdensity import b_l_factors
 from cmint.numutil import ord_p, prime_factors, primes_up_to
 from cmint.padic import kronecker
 from cmint.quadfield import QuadElem, QuadField, elem_norm, ord_at, splitting
@@ -26,6 +26,7 @@ from cmint.selfcheck import (
     worked_field,
 )
 from cmint.tmatrix import admissible_matrices
+from whittaker import beta_l_factor
 
 
 @lru_cache(maxsize=None)

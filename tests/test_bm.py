@@ -1,3 +1,4 @@
+import gc
 import inspect
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 
 from cmint import bm
 from cmint.bm import (
+    BmReport,
     _admissible_n,
     _route_a,
     _split_ord,
@@ -131,6 +133,16 @@ def test_support_primes():
         for m in (0, -1):
             with pytest.raises(InputError):
                 fn(f, m)
+
+
+def test_dropped_reports_are_freed():
+    # bm_report keeps no memo, so a report its caller drops does not stay alive
+    f = worked_field()
+    for m in range(1, 6):
+        bm_report(f, m)
+    gc.collect()
+    left = [o for o in gc.get_objects() if isinstance(o, BmReport) and o.field == f and o.m <= 5]
+    assert left == []
 
 
 def test_nonzero_needs_support():
@@ -369,4 +381,4 @@ def test_routes_stay_independent():
 def test_route_a_prime_outside_the_support_is_an_error(monkeypatch):
     monkeypatch.setattr(bm, "support_primes", lambda field, m: (3,))
     with pytest.raises(InternalConsistencyError, match=r"support primes: \[2\]"):
-        bm_report.__wrapped__(worked_field(), 1)
+        bm_report(worked_field(), 1)

@@ -254,6 +254,22 @@ def test_rejected_field_exit_code(tmp_path, capsys):
     assert err["reason"] == "norm-not-1-mod-4"
 
 
+def test_bad_D_is_refused_as_D(tmp_path, capsys):
+    # a D that Q(√D) refuses gets the same slug and detail as a composite D
+    for D in (1, -3, 3, 7, 9, 25, 21):
+        field = write_field(tmp_path / "d.json", D=D)
+        assert cli.run(["bm", "--field", field, "--m", "1", "--no-cache"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "error": "field-rejected",
+            "reason": "D-not-valid",
+            "detail": f"D = {D} must be a prime ≡ 1 mod 4",
+        }
+    # a bad Δ over a good D keeps its slug
+    assert cli.run(["bm", "--field", write_field(tmp_path / "d.json", den=3), "--m", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["reason"] == "invalid-delta"
+
+
 def test_bad_m_specification(tmp_path, cache_dir, capsys):
     field = write_field(tmp_path / "f.json")
     assert cli.run(["bm", "--field", field, "--m", "3-1"]) == 2

@@ -293,7 +293,7 @@ def test_spot_table_proves_each_prime_once(monkeypatch):
     for mod in (cmfield, padic, quadfield):
         monkeypatch.setattr(mod, "is_prime", counting)
     for f in fields:
-        for cache in (spot_kinds, quadfield._splitting, quadfield._root_for_spot, padic.hensel_sqrt):
+        for cache in (spot_kinds, quadfield._splitting, quadfield._root_for_spot):
             cache.cache_clear()
         calls.clear()
         primes = sorted(set(primes_up_to(400)) | {f.D, f.dtilde})

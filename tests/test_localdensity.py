@@ -8,12 +8,13 @@ from cmint import localdensity
 from cmint.bm import _route_b
 from cmint.cmfield import build_cm_field
 from cmint.errors import InputError, InternalConsistencyError
-from cmint.localdensity import alpha_l, b_l_factors, beta_l_factor
+from cmint.localdensity import b_l_factors
 from cmint.numutil import is_squarefree, ord_p, prime_factors, primes_up_to
 from cmint.padic import hilbert, kronecker
 from cmint.quadfield import QuadElem, QuadField
 from cmint.selfcheck import cyclotomic_field, sweep_fields, worked_field
 from cmint.tmatrix import TMatrix, admissible_matrices, t_matrix
+from whittaker import alpha_l, beta_l_factor
 
 F5 = QuadField(5)
 

@@ -48,11 +48,10 @@ def test_every_lru_cache_is_bounded():
         "cmint.quadfield._root_for_spot",
         "cmint.numutil.factorize",
         "cmint.bm._route_b",
-        "cmint.bm.bm_report",
     } <= caches.keys()
-    # their one caller, bm_report, is cached
-    assert "cmint.bm._route_a" not in caches
-    assert "cmint.bm.support_primes" not in caches
+    # their calls do not repeat, so a memo would only keep each result alive
+    for name in ("bm._route_a", "bm.support_primes", "bm.bm_report", "padic.hensel_sqrt"):
+        assert f"cmint.{name}" not in caches
     unbounded = sorted(n for n, fn in caches.items() if fn.cache_parameters()["maxsize"] is None)
     assert unbounded == []
 

@@ -184,7 +184,7 @@ def test_hensel_on_rational_units():
                     if u % l == 0 or v % l == 0:
                         continue
                     want = hensel_sqrt(u * pow(v, -1, mod) % mod, l, k)
-                    assert hensel_sqrt.__wrapped__(Fraction(u, v), l, k) == want, (u, v, l, k)
+                    assert hensel_sqrt(Fraction(u, v), l, k) == want, (u, v, l, k)
                     checked += 1
     assert checked == 7736
 
@@ -194,4 +194,4 @@ def test_hensel_rejects_non_units():
     for l in primes_up_to(13):
         for a in (0, l * (l + 1), Fraction(l, l + 1), Fraction(l + 1, l), Fraction(1, l * (l + 1))):
             with pytest.raises(InputError):
-                hensel_sqrt.__wrapped__(a, l, 3)
+                hensel_sqrt(a, l, 3)
