@@ -7,9 +7,11 @@ from v_l(m²D̃ − n²), and reads the other spot valuations off the factorizat
 of (m²D̃ − n²)/(4D). Route (b) is the closed product formula over primes
 dividing (m²D̃ − n²)/(4D), valid for squarefree m coprime to 2DD̃p. Each route
 is one scan over n per m that yields every prime's value, and every scan walks
-only the residue classes of n with 4D | m²D̃ − n² (`_admissible_n`); the two
-routes share only that range of n and `factorize`. Whenever route (b)
-applies, the two are compared and a mismatch is a hard error.
+only the residue classes of n with 4D | m²D̃ − n² (`_admissible_n`). The
+routes share only that range of n and the per-m factor table
+(`_factor_table`), which factors every (m²D̃ − n²)/div of one m with one
+sieve. Whenever route (b) applies, the two are compared and a mismatch is a
+hard error.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .errors import InputError, InternalConsistencyError
 from .frozen import Frozen
 from .localdensity import b_l_factors
 from .logcombo import LogCombo
-from .numutil import factorize, is_prime, is_squarefree, ord_p, prime_factors
+from .numutil import factorize, is_prime, is_squarefree, ord_p, primes_up_to
+from .padic import _sqrt_mod_prime, kronecker
 from .quadfield import PrimeSpot, QuadElem, ord_at
 from .tmatrix import admissible_matrices
 
@@ -69,6 +72,67 @@ def _admissible_n(m2dt: int, div: int, lo: int, hi: int) -> list[int]:
         for n in (base + r for r in roots)
         if lo <= n <= hi
     ]
+
+
+_SIEVE_LIMIT = 100_000  # the largest prime the sieve divides out, as in `factorize`
+
+
+@lru_cache(maxsize=2)
+def _factor_table(m2dt: int, div: int) -> dict[int, tuple[tuple[int, int], ...]]:
+    """`factorize((m2dt − n²)/div)` for every admissible 0 <= n < √m2dt, by n.
+
+    One polynomial-value sieve over the n of `_admissible_n`. A prime l ∤ div
+    divides the quotient exactly when n ≡ ±√m2dt (mod l), which within the
+    class n ≡ r (mod div) is one class of n // div mod l (CRT), so it is
+    divided out along an arithmetic progression of the list. A prime l | div
+    is tried on every value. Every prime up to the bound is divided out, so a
+    cofactor below (bound + 1)² is 1 or prime; a larger one goes to
+    `is_prime` and then `factorize`. The memo keeps the last two tables, so
+    the route A, support and route B scans of one m share them at both
+    divisors, and nothing is kept once later m have been scanned.
+    """
+    ns = _admissible_n(m2dt, div, 0, isqrt(m2dt - 1))
+    rest = [(m2dt - n * n) // div for n in ns]
+    facs: list[list[tuple[int, int]]] = [[] for _ in ns]
+    size = len(ns)
+    # n = r_j + div·k sits at k·width + j, r_j the j-th root of n² ≡ m2dt mod div
+    width = next((i for i, n in enumerate(ns) if n >= div), size)
+    bound = min(isqrt(m2dt // div), _SIEVE_LIMIT)
+    for l in primes_up_to(bound):
+        if div % l == 0:
+            starts, step = (0,), 1
+        else:
+            a = m2dt % l
+            if a == 0 or l == 2:
+                roots = (a,)
+            elif kronecker(a, l) == 1:
+                s = _sqrt_mod_prime(a, l)
+                roots = (s, l - s)
+            else:
+                continue
+            inv = pow(div, -1, l)
+            starts = [(s - r) * inv % l * width + j for j, r in enumerate(ns[:width]) for s in roots]
+            step = l * width
+        for start in starts:
+            for i in range(start, size, step):
+                c = rest[i]
+                if c % l:
+                    continue  # only when l | div
+                c //= l
+                e = 1
+                while c % l == 0:
+                    c //= l
+                    e += 1
+                rest[i] = c
+                facs[i].append((l, e))
+    top = (bound + 1) ** 2
+    for c, fac in zip(rest, facs):
+        if c > 1:
+            if c < top or is_prime(c):
+                fac.append((c, 1))
+            else:
+                fac.extend(factorize(c))
+    return dict(zip(ns, map(tuple, facs)))
 
 
 def _split_ord(n: int, m: int, spot: PrimeSpot, vl: int, vm: int) -> int:
@@ -125,8 +189,8 @@ def _route_a(
 
     Membership comes first: only spots over the primes dividing 2D can carry
     a negative exponent, so it is decided there from v_l(m²D̃ − n²) alone.
-    Only for the n that pass is (m²D̃ − n²)/div factorized (the other scans
-    share that factorization) and every other prime read off it.
+    Only for the n that pass is every other prime read off the factorization
+    of (m²D̃ − n²)/div in the m's factor table.
     """
     D = field.D
     rel_primes = {s.l for s, _ in field.rel_diff}
@@ -139,6 +203,7 @@ def _route_a(
     rows_at = {l: () for l, _ in fixed}  # a factorization prime's rows; () if fixed
     m2dt = m * m * field.dtilde
     nmax = isqrt(m2dt - 1)
+    table = _factor_table(m2dt, div)
     terms: dict[int, list[tuple[int, int]]] = {}
     neg, dual = set(), []  # |n| of the members n < 0; the n > 0 whose −n is one too
     for n in _admissible_n(m2dt, div, -nmax, nmax):
@@ -151,7 +216,7 @@ def _route_a(
                 break
         if not member:
             continue
-        for l, vl in factorize(big_n // div):
+        for l, vl in table[abs(n)]:
             if l not in rows_at:
                 rows_at[l] = spot_kinds(field, l)
             _spot_exps(vec, field, n, m, l, vl, rows_at[l])
@@ -186,11 +251,9 @@ def support_primes(field: CMFieldData, m: int) -> tuple[int, ...]:
     """Primes dividing (m²D̃ − n²)/(4D) for some 0 <= n < m√D̃."""
     if m < 1:
         raise InputError("need m >= 1")
-    fourD = 4 * field.D
-    m2dt = m * m * field.dtilde
     out: set[int] = set()
-    for n in _admissible_n(m2dt, fourD, 0, isqrt(m2dt - 1)):
-        out.update(prime_factors((m2dt - n * n) // fourD))
+    for fac in _factor_table(m * m * field.dtilde, 4 * field.D).values():
+        out.update(p for p, _ in fac)
     return tuple(sorted(out))
 
 
@@ -203,13 +266,10 @@ def _route_b(field: CMFieldData, m: int) -> MappingProxyType[int, int]:
     l | quot, so each factor is evaluated once per (T, l) as the pair
     (value if l = p, value if l ≠ p).
     """
-    fourD = 4 * field.D
-    m2dt = m * m * field.dtilde
     totals: dict[int, int] = {}
-    for n in _admissible_n(m2dt, fourD, 1, isqrt(m2dt - 1)):
-        fac = factorize((m2dt - n * n) // fourD)
+    for n, fac in _factor_table(m * m * field.dtilde, 4 * field.D).items():
         targets = [(p, e) for p, e in fac if m % p]
-        if not targets:
+        if n == 0 or not targets:
             continue
         for T in admissible_matrices(field, m, n):
             at_p: dict[int, int] = {}

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import cache
@@ -19,7 +17,7 @@ from .applications import (
 from .bm import bm_report, field_header, report_json_obj
 from .cmfield import CMFieldData, build_cm_field
 from .errors import FieldRejected, InputError, InternalConsistencyError
-from .logcombo import LogCombo, rational_json
+from .logcombo import rational_json
 from .quadfield import QuadElem, QuadField
 
 _RANGE = re.compile(r"^(\d+)(?:-(\d+))?$")
@@ -95,6 +93,8 @@ def _print_json(payload: dict, field: CMFieldData | None = None) -> None:
 
 def _write_csv(field: CMFieldData, columns: tuple[str, ...], rows) -> None:
     """CSV rows (m, *columns) about `field`, each after its D,x,y,den,mode."""
+    import csv  # only CSV output needs it
+
     d = field.delta
     head = [field.D, d.x, d.y, d.den, field.mode]
     w = csv.writer(sys.stdout)
@@ -121,8 +121,10 @@ def _cmd_intersect(args) -> int:
     field = load_field(args.field, args.mode)
     results = []
     for obj in _report_objs(field, parse_m_values(args.m), not args.no_cache):
-        half = LogCombo.from_dict({e["p"]: Fraction(e["b"], 2) for e in obj["entries"]})
-        results.append({"m": obj["m"], "intersection": half.json_obj()})
+        bs = {e["p"]: e["b"] for e in obj["entries"]}  # a repeated p: the last one counts
+        # ½·b exactly, as `rational_json` writes it: b // 2, or "b/2" when b is odd
+        half = {str(p): b // 2 if b % 2 == 0 else f"{b}/2" for p, b in sorted(bs.items()) if b}
+        results.append({"m": obj["m"], "intersection": half})
     if args.format == "csv":
         rows = ((r["m"], p, c) for r in results for p, c in r["intersection"].items())
         _write_csv(field, ("p", "coefficient"), rows)

@@ -2,7 +2,7 @@ import gc
 import inspect
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -10,6 +10,7 @@ from cmint import bm
 from cmint.bm import (
     BmReport,
     _admissible_n,
+    _factor_table,
     _route_a,
     _split_ord,
     bm_full,
@@ -22,7 +23,7 @@ from cmint.bm import (
 from cmint.cmfield import CMFieldData, build_cm_field, classify_in_reflex_cm, rho
 from cmint.errors import InputError, InternalConsistencyError
 from cmint.localdensity import b_l_factors
-from cmint.numutil import is_squarefree, ord_p, prime_factors, primes_up_to
+from cmint.numutil import factorize, is_prime, is_squarefree, ord_p, prime_factors, primes_up_to
 from cmint.padic import hensel_sqrt
 from cmint.quadfield import QuadElem, QuadField, ord_at, splitting
 from cmint.selfcheck import (
@@ -264,12 +265,16 @@ def test_route_a_matches_per_spot_scan_on_the_benchmark_field():
     assert shared >= 500
 
 
+def dyadic_bases():
+    """A sweep field where 2 splits in F̃ and one where it is inert."""
+    return [next(f for f in sweep_fields() if f.dtilde % 8 == r) for r in (1, 5)]
+
+
 def test_route_a_matches_per_spot_scan_with_dyadic_different():
     # no enumerated field has a dyadic entry in its different, so one is added by
     # hand: route A then keeps every n with D | m²D̃ − n² and reads v_2 from the
     # exponents of N/D
-    # 2 split, 2 inert
-    bases = [next(f for f in sweep_fields() if f.dtilde % 8 == r) for r in (1, 5)]
+    bases = dyadic_bases()
     checked = dyadic_terms = 0
     for f in bases:
         for spot in splitting(f.reflex, 2):
@@ -326,6 +331,76 @@ def test_admissible_n_matches_filter():
         hi = lo + rng.randint(-2, 6000)
         want = [n for n in range(lo, hi + 1) if (m2dt - n * n) % div == 0]
         assert _admissible_n(m2dt, div, lo, hi) == want, (m2dt, div, lo, hi)
+
+
+def assert_table_is_factorize(m2dt, div):
+    table = _factor_table(m2dt, div)
+    assert list(table) == _admissible_n(m2dt, div, 0, isqrt(m2dt - 1))
+    for n, fac in table.items():
+        assert fac == factorize((m2dt - n * n) // div), (m2dt, div, n)
+    return len(table)
+
+
+def test_factor_table_matches_factorize():
+    # both divisors route A can use, on the benchmark field (D̃ = 389, so the
+    # sieve meets l | m²D̃ at l | m and l = 389) and on the fields of the
+    # dyadic-different test, whose route A reads the table at div = D
+    checked = 0
+    f = build_cm_field(13, QuadElem(QuadField(13), -21, -2, 1))
+    for m in range(1, 301):
+        for div in (4 * f.D, f.D):
+            checked += assert_table_is_factorize(m * m * f.dtilde, div)
+    for f in dyadic_bases():
+        for m in range(1, 13):
+            for div in (4 * f.D, f.D):
+                checked += assert_table_is_factorize(m * m * f.dtilde, div)
+    assert checked > 190_000
+
+
+def test_factor_table_past_the_sieve_limit(monkeypatch):
+    # the largest quotient exceeds 100,000², so the sieve stops at 100,000 and a
+    # cofactor with two larger prime factors goes to factorize; n = 0 has one
+    p1, p2 = 100_003, 100_019
+    div = 4 * 10_009
+    m2dt = div * p1 * p2
+    calls = []
+    monkeypatch.setattr(bm, "factorize", lambda n: calls.append(n) or factorize(n))
+    table = _factor_table.__wrapped__(m2dt, div)
+    assert table[0] == ((p1, 1), (p2, 1)) and p1 * p2 in calls
+    assert len(table) > 500
+    for n, fac in table.items():
+        assert [p for p, _ in fac] == sorted({p for p, _ in fac})
+        assert all(e > 0 and is_prime(p) for p, e in fac)
+        assert prod(p**e for p, e in fac) == (m2dt - n * n) // div, n
+
+
+def test_factor_table_matches_sympy_at_large_m():
+    sympy = pytest.importorskip("sympy")
+    m2dt = 3001 * 3001 * 389
+    table = _factor_table(m2dt, 52)
+    sample = list(table.items())[::80]
+    assert len(sample) > 50
+    for n, fac in sample:
+        assert dict(fac) == sympy.factorint((m2dt - n * n) // 52), n
+
+
+def test_reports_leave_no_quotient_in_the_factorize_memo():
+    # the three scans read the per-m table; only is_squarefree(m) reaches factorize
+    f = build_cm_field(13, QuadElem(QuadField(13), -21, -2, 1))
+    ms = range(1, 31)
+    factorize.cache_clear()
+    for m in ms:
+        bm_report(f, m)
+    assert factorize.cache_info().currsize <= len(ms)
+    quotients = {
+        (m * m * f.dtilde - n * n) // (4 * f.D)
+        for m in ms
+        for n in _admissible_n(m * m * f.dtilde, 4 * f.D, 0, isqrt(m * m * f.dtilde - 1))
+    } - set(ms)
+    hits = factorize.cache_info().hits
+    for q in quotients:
+        factorize(q)
+    assert len(quotients) > 500 and factorize.cache_info().hits == hits
 
 
 def code_names(code):

@@ -48,6 +48,7 @@ def test_every_lru_cache_is_bounded():
         "cmint.quadfield._root_for_spot",
         "cmint.numutil.factorize",
         "cmint.bm._route_b",
+        "cmint.bm._factor_table",
     } <= caches.keys()
     # their calls do not repeat, so a memo would only keep each result alive
     for name in ("bm._route_a", "bm.support_primes", "bm.bm_report", "padic.hensel_sqrt"):
@@ -143,14 +144,15 @@ def test_value_classes_keep_dataclass_semantics():
 def test_cli_import_leaves_dataclasses_unloaded():
     # in a fresh interpreter: pytest itself has already loaded dataclasses here.
     # cmint.bm must load eagerly with the CLI, since the benchmark's range-cold
-    # clock marks are installed on the modules that import loads
+    # clock marks are installed on the modules that import loads; csv loads only
+    # for CSV output
     code = (
         "import sys, cmint.cli; "
-        "print('dataclasses' in sys.modules, 'cmint.bm' in sys.modules)"
+        "print('dataclasses' in sys.modules, 'cmint.bm' in sys.modules, 'csv' in sys.modules)"
     )
     src = os.path.dirname(os.path.dirname(cmint.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["False", "True", "False"]
