@@ -179,6 +179,28 @@ def _spot_exps(vec: list, field: CMFieldData, n: int, m: int, l: int, vl: int, r
     return True
 
 
+def _candidate_n(field: CMFieldData, m: int, m2dt: int, div: int) -> list[int]:
+    """The admissible signed n, ascending, that can pass membership at D.
+
+    When D ∤ m and D splits in F̃, D | m²D̃ − n² puts n + m√D̃ in exactly one
+    spot over D, the one whose label L has n ≡ −m·L (mod D), with valuation
+    ≥ 1 there and 0 at the other. A spot with a negative shift (−1) thus
+    needs n in its class: one such spot leaves that class, two leave no n.
+    Otherwise every admissible n is returned, to be checked one by one.
+    """
+    D = field.D
+    nmax = isqrt(m2dt - 1)
+    ns = _admissible_n(m2dt, div, -nmax, nmax)
+    rows = spot_kinds(field, D)
+    neg = [label for _, _, kind_f, shift, _, _, label in rows if kind_f == "split" and shift < 0]
+    if m % D == 0 or not neg:
+        return ns
+    if len(neg) == 2:
+        return []
+    c = -m * neg[0] % D
+    return [n for n in ns if n % D == c]
+
+
 def _route_a(
     field: CMFieldData, m: int
 ) -> tuple[dict[int, list[tuple[int, int]]], tuple[str, ...], bool]:
@@ -188,9 +210,10 @@ def _route_a(
     whether a dyadic entry in the different relaxed membership at 2.
 
     Membership comes first: only spots over the primes dividing 2D can carry
-    a negative exponent, so it is decided there from v_l(m²D̃ − n²) alone.
-    Only for the n that pass is every other prime read off the factorization
-    of (m²D̃ − n²)/div in the m's factor table.
+    a negative exponent, so it is decided there from v_l(m²D̃ − n²) alone,
+    and the scan walks only the class of n that can pass at D
+    (`_candidate_n`). Only for the n that pass is every other prime read off
+    the factorization of (m²D̃ − n²)/div in the m's factor table.
     """
     D = field.D
     rel_primes = {s.l for s, _ in field.rel_diff}
@@ -202,11 +225,10 @@ def _route_a(
     fixed = [(l, spot_kinds(field, l)) for l in sorted({2, D} | rel_primes)]
     rows_at = {l: () for l, _ in fixed}  # a factorization prime's rows; () if fixed
     m2dt = m * m * field.dtilde
-    nmax = isqrt(m2dt - 1)
     table = _factor_table(m2dt, div)
     terms: dict[int, list[tuple[int, int]]] = {}
     neg, dual = set(), []  # |n| of the members n < 0; the n > 0 whose −n is one too
-    for n in _admissible_n(m2dt, div, -nmax, nmax):
+    for n in _candidate_n(field, m, m2dt, div):
         big_n = m2dt - n * n
         vec = []
         member = True

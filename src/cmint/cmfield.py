@@ -23,10 +23,11 @@ from .quadfield import (
     PrimeSpot,
     QuadElem,
     QuadField,
+    _need_prime,
+    _splitting,
     elem_div_exact,
     elem_norm,
     ord_at,
-    splitting,
     spot_embed,
 )
 
@@ -151,7 +152,7 @@ def _relative_different(delta_tilde: QuadElem, mode: str) -> tuple[tuple[PrimeSp
     nrm = int(elem_norm(delta_tilde))
     out = []
     for l in sorted(set(prime_factors(nrm)) | {2}):
-        for spot in splitting(Ft, l):
+        for spot in _splitting(Ft.disc, l):
             if _square_class_kind(delta_tilde, spot) != "ramified":
                 continue
             if l == 2:
@@ -214,12 +215,16 @@ def spot_kinds(field: CMFieldData, l: int) -> tuple[tuple, ...]:
     e_𝔡 is the exponent of the relative different at the spot and
     shift = e_𝔡 − v_l(2D)·e, the exponent of 𝔡⁻¹ minus that of 2D; it is
     negative only over the primes dividing 2D.
+
+    l is not proved prime here: every caller passes a prime already proved,
+    namely 2, the validated D, the primes of `prime_factors` and those of a
+    route's factor table. `classify_in_reflex_cm` proves a caller's l first.
     """
     dt = field.delta_tilde
     rel = dict(field.rel_diff)
     o2d = ord_p(2 * field.D, l)
     rows = []
-    for s in splitting(field.reflex, l):
+    for s in _splitting(field.dtilde, l):
         r = rel.get(s, 0)
         rows.append((s, _square_class_kind(dt, s), s.kind, r - o2d * s.e, r, s.f, s.label))
     return tuple(rows)
@@ -229,6 +234,7 @@ def classify_in_reflex_cm(field: CMFieldData, spot: PrimeSpot) -> str:
     """How the F̃-spot behaves in K̃: "split", "inert", or "ramified"."""
     if spot.disc != field.dtilde:
         raise InputError("spot does not belong to the reflex field")
+    _need_prime(spot.l)
     for s, kind, *_ in spot_kinds(field, spot.l):
         if s == spot:
             return kind

@@ -148,11 +148,14 @@ class PrimeSpot(Frozen):
         return 2 if self.kind == "ramified" else 1
 
 
-@lru_cache(maxsize=1 << 14)
-def _splitting(disc: int, l: int) -> tuple[PrimeSpot, ...]:
-    # disc comes from a validated QuadField; l is proved prime here, once
+def _need_prime(l: int) -> None:
+    """Refuse a non-prime l: the one primality proof before the spots over l."""
     if not is_prime(l):
         raise InputError(f"splitting needs a prime, got {l}")
+
+
+def _splitting(disc: int, l: int) -> tuple[PrimeSpot, ...]:
+    # disc comes from a validated QuadField; l must already be proved prime
     k = kronecker(disc, l)
     if k == 0:
         return (PrimeSpot(disc, l, "ramified"),)
@@ -167,6 +170,7 @@ def _splitting(disc: int, l: int) -> tuple[PrimeSpot, ...]:
 
 def splitting(field: QuadField, l: int) -> tuple[PrimeSpot, ...]:
     """The spots of the field over l; canonical split spot first."""
+    _need_prime(l)
     return _splitting(field.disc, l)
 
 
@@ -174,8 +178,10 @@ def splitting(field: QuadField, l: int) -> tuple[PrimeSpot, ...]:
 def _root_for_spot(disc: int, l: int, label: int, k: int) -> int:
     """The mod-l^k image of √disc under this split spot's embedding.
 
-    For odd l it is the lift of the label, so l, proved prime by `_splitting`,
-    is not proved again (and k = 1 gives the label itself).
+    For odd l it is the lift of the label, so l, proved prime before the spot
+    was made, is not proved again. `spot_embed` reads k = 1 off the label, so
+    the memo keeps only the deeper precisions, which route A's dyadic `ord_at`
+    asks for again and again.
     """
     if l != 2:
         return _lift_sqrt(disc, label, l, k)
@@ -193,8 +199,10 @@ def spot_embed(e: QuadElem, spot: PrimeSpot, k: int) -> int:
     """
     if spot.kind != "split":
         raise InputError("spot_embed needs a split spot")
-    root = _root_for_spot(spot.disc, spot.l, spot.label, k)
-    return (e.x + e.y * root) % spot.l**k
+    l = spot.l
+    if k == 1 and l != 2:
+        return (e.x + e.y * spot.label) % l  # the label is √disc mod l
+    return (e.x + e.y * _root_for_spot(spot.disc, l, spot.label, k)) % l**k
 
 
 def ord_at(e: QuadElem, spot: PrimeSpot) -> int:

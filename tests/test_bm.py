@@ -238,18 +238,66 @@ def shared_split_factors(field, m):
 
 
 def test_route_a_matches_per_spot_scan():
-    fields = sweep_fields()[::5]
+    # D splits in F̃ on 34 strict fields, where the scan walks one class of n mod D
+    # unless D | m; D ramifies on the other six (D̃ = D) and on the permissive
+    # fields (D | D̃ = 145, 221), where every n is checked at D
+    fields = sweep_fields()
     assert any(f.dtilde % 8 == 1 for f in fields)  # split spots over 2
     fields.append(build_cm_field(5, QuadElem(F5, -25, -3, 2), mode="permissive"))
-    assert fields[-1].dtilde == 145
-    shared = nonzero = 0
+    fields.append(build_cm_field(17, QuadElem(QuadField(17), -17, -2), mode="permissive"))
+    assert [f.dtilde for f in fields[-2:]] == [145, 221]
+    split_at_d = shared = nonzero = 0
     for f in fields:
+        split_at_d += splitting(f.reflex, f.D)[0].kind == "split"
         for m in range(1, 31):
             want = per_spot_route_a(f, m)
             assert _route_a(f, m) == want, (f.D, f.delta, f.mode, m)
             nonzero += bool(want[0])
             shared += shared_split_factors(f, m)
-    assert nonzero >= 150 and shared >= 1000
+    assert split_at_d == 34 and nonzero >= 700 and shared >= 9000
+
+
+def test_route_a_matches_per_spot_scan_with_the_different_moved_at_d():
+    # every built field has one spot over D in the different when D splits, so
+    # the different is rewritten by hand: with both spots in it every n is
+    # checked at D, with neither no n can pass unless D | m
+    f = worked_field()
+    spots = splitting(f.reflex, f.D)
+    rest = tuple((s, e) for s, e in f.rel_diff if s.l != f.D)
+    nonzero = 0
+    for at_d, empty in ((((spots[0], 1), (spots[1], 1)), False), ((), True)):
+        g = CMFieldData(
+            f.D, f.delta, f.w, f.dtilde, f.delta_tilde, rest + at_d, f.w_k, f.mode
+        )
+        for m in range(1, 13):
+            want = per_spot_route_a(g, m)
+            assert _route_a(g, m) == want, (at_d, m)
+            if empty and m % f.D:
+                assert want[0] == {}
+            nonzero += bool(want[0])
+    assert nonzero >= 6
+
+
+def test_route_a_walks_one_class_at_d(monkeypatch):
+    # on the benchmark field one spot over D = 13 has a negative shift, so only
+    # the n in its class mod 13 reach the check at 13, and they all pass it;
+    # walking every admissible n made 14,771 checks there over m <= 100
+    f = build_cm_field(13, QuadElem(QuadField(13), -21, -2))
+    real = bm._spot_exps
+    checks = passed = 0
+
+    def counting(vec, field, n, m, l, vl, rows):
+        nonlocal checks, passed
+        ok = real(vec, field, n, m, l, vl, rows)
+        if l == 13 and rows:  # the factor table's 13 has no rows: it is checked above
+            checks += 1
+            passed += ok
+        return ok
+
+    monkeypatch.setattr(bm, "_spot_exps", counting)
+    for m in range(1, 101):
+        _route_a(f, m)
+    assert passed == 7662 and passed <= checks < 14771
 
 
 def test_route_a_matches_per_spot_scan_on_the_benchmark_field():

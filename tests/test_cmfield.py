@@ -277,8 +277,9 @@ def test_stored_field_hash_is_the_generated_one():
 
 
 def test_spot_table_proves_each_prime_once(monkeypatch):
-    # `_splitting` proves l prime; a split spot's roots are lifted from its label,
-    # so building the table over l proves nothing again
+    # each caller of `spot_kinds` has proved l prime already (the sieve, the
+    # factorization, the field's validation) and a split spot's roots come from
+    # its label, so building the table over l proves no odd prime again
     calls = Counter()
     real = numutil.is_prime
 
@@ -293,13 +294,23 @@ def test_spot_table_proves_each_prime_once(monkeypatch):
     for mod in (cmfield, padic, quadfield):
         monkeypatch.setattr(mod, "is_prime", counting)
     for f in fields:
-        for cache in (spot_kinds, quadfield._splitting, quadfield._root_for_spot):
+        for cache in (spot_kinds, quadfield._root_for_spot):
             cache.cache_clear()
         calls.clear()
         primes = sorted(set(primes_up_to(400)) | {f.D, f.dtilde})
-        for l in primes:
-            spot_kinds(f, l)
-        assert set(calls) == set(primes)
-        assert sum(s.kind == "split" for l in primes for s in splitting(f.reflex, l)) >= 60
-        # a dyadic split spot's root still comes from hensel_sqrt, which proves 2 again
-        assert all(c == 1 for l, c in calls.items() if l > 2 or f.dtilde % 8 == 5)
+        rows = [row for l in primes for row in spot_kinds(f, l)]
+        assert sum(kind_f == "split" for _, _, kind_f, *_ in rows) >= 60
+        # a dyadic split spot's root still comes from hensel_sqrt, which proves 2
+        assert set(calls) <= {2}, sorted(calls)
+
+
+def test_public_readers_prove_the_prime():
+    # `spot_kinds` trusts its l, so the public entry points prove a caller's l
+    f = build_cm_field(13, QuadElem(QuadField(13), -21, -2, 1))
+    spot = PrimeSpot(389, 15, "split", 2)
+    with pytest.raises(InputError, match="splitting needs a prime, got 15"):
+        splitting(QuadField(389), 15)
+    with pytest.raises(InputError, match="splitting needs a prime, got 15"):
+        classify_in_reflex_cm(f, spot)
+    with pytest.raises(InputError, match="splitting needs a prime, got 15"):
+        rho(f, ((spot, 1),))

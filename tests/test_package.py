@@ -44,14 +44,20 @@ def test_every_lru_cache_is_bounded():
         "cmint.cmfield._build_cached",
         "cmint.cmfield._dyadic_squares",
         "cmint.cmfield.spot_kinds",
-        "cmint.quadfield._splitting",
         "cmint.quadfield._root_for_spot",
         "cmint.numutil.factorize",
         "cmint.bm._route_b",
         "cmint.bm._factor_table",
     } <= caches.keys()
-    # their calls do not repeat, so a memo would only keep each result alive
-    for name in ("bm._route_a", "bm.support_primes", "bm.bm_report", "padic.hensel_sqrt"):
+    # their calls do not repeat, so a memo would only keep each result alive;
+    # `_splitting`'s one repeating caller is `spot_kinds`, the per-(field, l) table
+    for name in (
+        "bm._route_a",
+        "bm.support_primes",
+        "bm.bm_report",
+        "padic.hensel_sqrt",
+        "quadfield._splitting",
+    ):
         assert f"cmint.{name}" not in caches
     unbounded = sorted(n for n, fn in caches.items() if fn.cache_parameters()["maxsize"] is None)
     assert unbounded == []
