@@ -10,7 +10,6 @@ from .bm import (
     BmEntry,
     BmReport,
     bm_full,
-    bm_p_product,
     bm_report,
     intersection_number,
     support_primes,
@@ -44,7 +43,6 @@ __all__ = [
     "TMatrix",
     "bad_reduction_primes",
     "bm_full",
-    "bm_p_product",
     "bm_report",
     "build_cm_field",
     "classify_in_reflex_cm",

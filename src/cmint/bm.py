@@ -19,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from types import MappingProxyType
 
 from .cmfield import CMFieldData, spot_kinds
 from .errors import InputError, InternalConsistencyError
@@ -279,14 +278,14 @@ def support_primes(field: CMFieldData, m: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=4096)
-def _route_b(field: CMFieldData, m: int) -> MappingProxyType[int, int]:
+def _route_b(field: CMFieldData, m: int) -> dict[int, int]:
     """One scan over n computing the product formula for every p ∤ m at once.
 
     Needs m squarefree and coprime to 2DD̃. Every T contributes to each prime
     p | quot through its local factor at l = p times the factors at the other
     l | quot, so each factor is evaluated once per (T, l) as the pair
-    (value if l = p, value if l ≠ p).
+    (value if l = p, value if l ≠ p). A p ∤ m missing from the result has
+    b_m(p) = 0.
     """
     totals: dict[int, int] = {}
     for n, fac in _factor_table(m * m * field.dtilde, 4 * field.D).items():
@@ -304,27 +303,7 @@ def _route_b(field: CMFieldData, m: int) -> MappingProxyType[int, int]:
                     if l != p:
                         term *= v
                 totals[p] = totals.get(p, 0) + (e + 1) * term
-    return MappingProxyType(totals)
-
-
-def _route_b_table(field: CMFieldData, m: int) -> MappingProxyType[int, int] | None:
-    """Route (b)'s values for every p ∤ m, or None when m is not squarefree
-    and coprime to 2DD̃."""
-    if not is_squarefree(m) or gcd(m, 2 * field.D * field.dtilde) != 1:
-        return None
-    return _route_b(field, m)
-
-
-def _route_b_at(table: MappingProxyType[int, int] | None, m: int, p: int) -> int | None:
-    """b_m(p) from `_route_b_table(field, m)`; None when it is None or p | m."""
-    return None if table is None or m % p == 0 else table.get(p, 0)
-
-
-def bm_p_product(field: CMFieldData, m: int, p: int) -> int | None:
-    """b_m(p) from the product formula; None when the guards fail."""
-    if m < 1 or not is_prime(p):
-        raise InputError("need m >= 1 and p prime")
-    return _route_b_at(_route_b_table(field, m), m, p)
+    return totals
 
 
 def bm_report(field: CMFieldData, m: int) -> BmReport:
@@ -344,12 +323,14 @@ def bm_report(field: CMFieldData, m: int) -> BmReport:
             raise InternalConsistencyError(
                 f"nonzero multiplicity outside the support primes: {stray}"
             )
-    table = _route_b_table(field, m)
+    # route B's guard: m squarefree and coprime to 2DD̃
+    applies = is_squarefree(m) and gcd(m, 2 * field.D * field.dtilde) == 1
+    totals = _route_b(field, m) if applies else {}
     entries = []
     for p in support:
         per_n = tuple(terms.get(p, ()))
         a_val = sum(t for _, t in per_n)
-        b_val = _route_b_at(table, m, p)
+        b_val = totals.get(p, 0) if applies and m % p else None
         if b_val is not None and b_val != a_val:
             raise InternalConsistencyError(
                 f"route disagreement at p={p}, m={m}: {a_val} (definition) vs {b_val} (product)"

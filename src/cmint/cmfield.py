@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .errors import FieldRejected, InputError, InternalConsistencyError
 from .frozen import Frozen
-from .numutil import is_perfect_square, is_prime, is_squarefree, ord_p, prime_factors
+from .numutil import is_perfect_square, is_prime, ord_p, prime_factors
 from .padic import kronecker
 from .quadfield import (
     PrimeSpot,
@@ -80,7 +80,6 @@ def _find_w(delta: QuadElem) -> QuadElem | None:
     return None
 
 
-@lru_cache(maxsize=256)
 def _dyadic_squares(disc: int, modulus: int) -> frozenset[tuple[int, int]]:
     """All squares in O/modulus·O on the basis {1, ω}, ω = (1+√disc)/2."""
     c = (disc - 1) // 4
@@ -182,8 +181,10 @@ def _build_cached(D: int, x: int, y: int, den: int, mode: str) -> CMFieldData:
         raise FieldRejected("norm-not-1-mod-4", f"norm(Δ) = {dt}")
     if is_perfect_square(dt):
         raise FieldRejected("norm-a-square", f"norm(Δ) = {dt} gives a biquadratic field")
-    if not is_squarefree(dt):
-        raise FieldRejected("norm-not-squarefree", f"norm(Δ) = {dt}")
+    try:
+        reflex = QuadField(dt)  # dt > 1 and dt ≡ 1 mod 4, so it refuses only a square factor
+    except InputError:
+        raise FieldRejected("norm-not-squarefree", f"norm(Δ) = {dt}") from None
     if mode == "strict" and not is_prime(dt):
         raise FieldRejected("norm-not-prime", f"norm(Δ) = {dt} and mode is strict")
     w = _find_w(delta)
@@ -192,7 +193,7 @@ def _build_cached(D: int, x: int, y: int, den: int, mode: str) -> CMFieldData:
     two_d0 = 2 * Fraction(x, den)
     if two_d0.denominator != 1:
         raise InternalConsistencyError("2Δ₀ must be integral")
-    delta_tilde = QuadElem(QuadField(dt), int(two_d0), 2, 1)
+    delta_tilde = QuadElem(reflex, int(two_d0), 2, 1)
     rel = _relative_different(delta_tilde, mode)
     w_k = 10 if (D == 5 and dt == 5) else 2
     return CMFieldData(D, delta, w, dt, delta_tilde, rel, w_k, mode)

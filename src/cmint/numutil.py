@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from math import gcd, isqrt
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -109,7 +108,6 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
             return d
 
 
-@lru_cache(maxsize=1 << 16)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1, sorted tuple of (prime, exponent)."""
     if n < 1:

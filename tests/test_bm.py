@@ -6,15 +6,15 @@ from math import gcd, isqrt, prod
 
 import pytest
 
-from cmint import bm
+from cmint import bm, numutil
 from cmint.bm import (
     BmReport,
     _admissible_n,
     _factor_table,
     _route_a,
+    _route_b,
     _split_ord,
     bm_full,
-    bm_p_product,
     bm_report,
     intersection_number,
     report_json_obj,
@@ -56,15 +56,17 @@ def test_report_json_shape():
 
 
 def test_product_route_guards():
-    f = worked_field()
-    assert bm_p_product(f, 12, 7) is None  # m not squarefree
-    assert bm_p_product(f, 2, 7) is None  # shares a factor with 2DD̃
-    assert bm_p_product(f, 41, 7) is None
-    assert bm_p_product(f, 3, 3) is None  # p | m
+    f = worked_field()  # D = 5, D̃ = 41
+    # m not squarefree, or sharing a factor with 2DD̃: route B is off for every p
+    for m in (12, 2, 41):
+        entries = bm_report(f, m).entries
+        assert entries and all(e.route_b is None for e in entries), m
+    # p | m: off at that p only
+    entries = {e.p: e for e in bm_report(f, 3).entries}
+    assert entries[3].route_b is None
+    assert all(e.route_b == e.b for p, e in entries.items() if p != 3)
     with pytest.raises(InputError):
-        bm_p_product(f, 0, 2)
-    with pytest.raises(InputError):
-        bm_p_product(f, 1, 4)
+        bm_report(f, 0)
 
 
 def test_cyclotomic_values():
@@ -109,12 +111,13 @@ def test_one_pass_route_matches_per_prime_loop():
     for f, m in cases:
         if not is_squarefree(m) or gcd(m, 2 * f.D * f.dtilde) != 1:
             continue
+        totals = _route_b(f, m)
         for p in support_primes(f, m) + (101,):
             if m % p == 0:
-                assert bm_p_product(f, m, p) is None
+                assert p not in totals
                 continue
             want = per_p_product(f, m, p)
-            assert bm_p_product(f, m, p) == want, (f.D, f.delta, m, p)
+            assert totals.get(p, 0) == want, (f.D, f.delta, m, p)
             compared += 1
             nonzero += want != 0
     assert compared >= 300 and nonzero >= 100
@@ -432,23 +435,28 @@ def test_factor_table_matches_sympy_at_large_m():
         assert dict(fac) == sympy.factorint((m2dt - n * n) // 52), n
 
 
-def test_reports_leave_no_quotient_in_the_factorize_memo():
+def test_reports_send_no_quotient_to_factorize(monkeypatch):
     # the three scans read the per-m table; only is_squarefree(m) reaches factorize
     f = build_cm_field(13, QuadElem(QuadField(13), -21, -2, 1))
     ms = range(1, 31)
-    factorize.cache_clear()
+    seen = []
+
+    def recording(n):
+        seen.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(bm, "factorize", recording)
+    monkeypatch.setattr(numutil, "factorize", recording)
+    _factor_table.cache_clear()
     for m in ms:
         bm_report(f, m)
-    assert factorize.cache_info().currsize <= len(ms)
+    assert seen and set(seen) <= set(ms)
     quotients = {
         (m * m * f.dtilde - n * n) // (4 * f.D)
         for m in ms
         for n in _admissible_n(m * m * f.dtilde, 4 * f.D, 0, isqrt(m * m * f.dtilde - 1))
     } - set(ms)
-    hits = factorize.cache_info().hits
-    for q in quotients:
-        factorize(q)
-    assert len(quotients) > 500 and factorize.cache_info().hits == hits
+    assert len(quotients) > 500 and not quotients & set(seen)
 
 
 def code_names(code):
@@ -497,7 +505,7 @@ def test_routes_stay_independent():
     # the routes cross-check each other only while neither calls into the other's machinery
     a = code_names(bm._route_a.__code__)
     assert not a & {"_route_b", "b_l_factors", "admissible_matrices", "t_matrix", "alpha_l"}
-    b = code_names(bm._route_b.__wrapped__.__code__)
+    b = code_names(bm._route_b.__code__)
     assert not b & {"_route_a", "ord_at", "rho", "splitting"}
 
 

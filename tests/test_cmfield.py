@@ -91,6 +91,33 @@ def test_rejections():
         build_cm_field(13, QuadElem(F5, -13, 1, 2))
 
 
+def test_build_factors_the_norm_once(monkeypatch):
+    # the squarefree verdict on D̃ comes from constructing F̃ = Q(√D̃), so a
+    # norm past trial division goes through Pollard rho once per build
+    calls = Counter()
+    real = numutil.factorize
+
+    def counting(n):
+        calls[n] += 1
+        return real(n)
+
+    monkeypatch.setattr(numutil, "factorize", counting)
+    build = cmfield._build_cached.__wrapped__
+    for D, x, y, den, mode, dt in (
+        (13, -21, -2, 1, "strict", 389),
+        (5, -25, -3, 2, "permissive", 145),
+        (5, -1003897, 2, 1, "permissive", 206879 * 4871491),
+    ):
+        calls.clear()
+        assert build(D, x, y, den, mode).dtilde == dt
+        assert calls[dt] == 1, (dt, calls[dt])
+    calls.clear()
+    with pytest.raises(FieldRejected) as e:
+        build(13, -13, -2, 1, "permissive")
+    assert (e.value.reason, e.value.detail) == ("norm-not-squarefree", "norm(Δ) = 117")
+    assert calls[117] == 1
+
+
 def test_strict_requires_prime_norm():
     delta = QuadElem(F5, -25, -3, 2)  # norm 145 = 5·29
     with pytest.raises(FieldRejected) as e:

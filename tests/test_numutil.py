@@ -111,10 +111,10 @@ def test_factorize_seeds_rho_only_for_composite_cofactors(monkeypatch):
 
     monkeypatch.setattr(numutil, "random", SimpleNamespace(Random=recording_random))
     p, q = 100003, 100019  # trial division stops short of both
-    assert factorize.__wrapped__(p) == ((p, 1),)
-    assert factorize.__wrapped__(2 * p) == ((2, 1), (p, 1))
+    assert factorize(p) == ((p, 1),)
+    assert factorize(2 * p) == ((2, 1), (p, 1))
     assert seeds == []
-    assert factorize.__wrapped__(p * q) == ((p, 1), (q, 1))
+    assert factorize(p * q) == ((p, 1), (q, 1))
     assert seeds == [0xC0FFEE ^ (p * q)]
 
 
@@ -128,11 +128,11 @@ def test_factorize_proves_trial_division_cofactors_without_is_prime(monkeypatch)
     monkeypatch.setattr(numutil, "is_prime", counting_is_prime)
     # trial division stops at f² > n, which proves the cofactor prime
     for n, want in ((2 * 7919, ((2, 1), (7919, 1))), (100003, ((100003, 1),)), (49, ((7, 2),))):
-        assert factorize.__wrapped__(n) == want
+        assert factorize(n) == want
         assert calls == [], n
     # past the trial cap the cofactor still goes through is_prime and Pollard rho
     p, q = 100003, 100019
-    assert factorize.__wrapped__(p * q) == ((p, 1), (q, 1))
+    assert factorize(p * q) == ((p, 1), (q, 1))
     assert sorted(calls) == [p, q, p * q]
 
 
@@ -146,4 +146,4 @@ def test_factorize_matches_sympy():
     cases += [p * p for p in primes] + [2 * p for p in primes]
     cases += [p * q for i, p in enumerate(primes) for q in primes[i + 1:]]
     for n in cases:
-        assert dict(factorize.__wrapped__(n)) == sympy.factorint(n), n
+        assert dict(factorize(n)) == sympy.factorint(n), n

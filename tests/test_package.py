@@ -21,8 +21,11 @@ from cmint import (
     QuadElem,
     QuadField,
     TMatrix,
+    bm_report,
     build_cm_field,
+    humbert_intersection,
 )
+from cmint import cli
 
 
 def lru_caches() -> dict:
@@ -40,27 +43,58 @@ def lru_caches() -> dict:
 
 def test_every_lru_cache_is_bounded():
     caches = lru_caches()
-    assert {
+    assert caches.keys() == {
         "cmint.cmfield._build_cached",
-        "cmint.cmfield._dyadic_squares",
         "cmint.cmfield.spot_kinds",
         "cmint.quadfield._root_for_spot",
-        "cmint.numutil.factorize",
-        "cmint.bm._route_b",
         "cmint.bm._factor_table",
-    } <= caches.keys()
-    # their calls do not repeat, so a memo would only keep each result alive;
-    # `_splitting`'s one repeating caller is `spot_kinds`, the per-(field, l) table
+    }
+    # their calls do not repeat within one command, so a memo would only keep
+    # each result alive; `_splitting`'s one repeating caller is `spot_kinds`,
+    # the per-(field, l) table
     for name in (
         "bm._route_a",
+        "bm._route_b",
         "bm.support_primes",
         "bm.bm_report",
+        "cmfield._dyadic_squares",
+        "numutil.factorize",
         "padic.hensel_sqrt",
         "quadfield._splitting",
     ):
         assert f"cmint.{name}" not in caches
     unbounded = sorted(n for n, fn in caches.items() if fn.cache_parameters()["maxsize"] is None)
     assert unbounded == []
+
+
+def test_every_lru_cache_is_hit_within_one_command(tmp_path, monkeypatch, capsys):
+    # each memo that stays is hit by the work of one call that needs it
+    caches = lru_caches()
+
+    def hits(name, call):
+        caches[name].cache_clear()
+        call()
+        return caches[name].cache_info().hits
+
+    f13 = build_cm_field(13, QuadElem(QuadField(13), -21, -2))
+    f5 = build_cm_field(5, QuadElem(QuadField(5), -13, 1, 2))
+    # route A, the support primes and route B of one m share its factor table
+    assert hits("cmint.bm._factor_table", lambda: bm_report(f13, 1)) >= 1
+    # one m range asks for the same (field, l) spot tables again
+    assert hits("cmint.cmfield.spot_kinds", lambda: [bm_report(f13, m) for m in range(1, 11)]) >= 1
+    # one humbert query lifts the same dyadic roots again
+    assert hits("cmint.quadfield._root_for_spot", lambda: humbert_intersection(f5, 29)) >= 1
+    # a process that runs several commands on one field builds it once
+    field = tmp_path / "f.json"
+    field.write_text('{"D": 13, "delta": {"x": -21, "y": -2, "den": 1}, "mode": "strict"}')
+    monkeypatch.setenv("CMINT_CACHE_DIR", str(tmp_path / "cache"))
+
+    def two_commands():
+        for m in ("1-2", "3-4"):
+            assert cli.run(["intersect", "--field", str(field), "--m", m, "--no-cache"]) == 0
+
+    assert hits("cmint.cmfield._build_cached", two_commands) >= 1
+    capsys.readouterr()
 
 
 FIELD_REPR = (
