@@ -6,6 +6,8 @@ import argparse
 import json
 import re
 import sys
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import cache
@@ -23,8 +25,13 @@ from .quadfield import QuadElem, QuadField
 _RANGE = re.compile(r"^(\d+)(?:-(\d+))?$")
 
 
-def parse_m_values(text: str) -> list[int]:
-    vals: dict[int, None] = {}  # ordered set: the first occurrence keeps its place
+def parse_m_values(text: str) -> Iterator[int]:
+    """The m of `text` ('3', '1-10' or '1,3,9-12'), each once, in first-occurrence order.
+
+    Every part is checked here, so a bad spec fails before any m is yielded;
+    the m themselves are then yielded lazily from the parsed (lo, hi) pairs.
+    """
+    pairs = []
     for part in text.split(","):
         mobj = _RANGE.match(part.strip())
         if not mobj:
@@ -33,8 +40,26 @@ def parse_m_values(text: str) -> list[int]:
         hi = int(mobj.group(2)) if mobj.group(2) else lo
         if lo < 1 or hi < lo:
             raise InputError(f"bad m specification: {part.strip()!r}")
-        vals.update(dict.fromkeys(range(lo, hi + 1)))
-    return list(vals)
+        pairs.append((lo, hi))
+    return _first_occurrences(pairs)
+
+
+def _first_occurrences(pairs: list[tuple[int, int]]) -> Iterator[int]:
+    # `seen` holds the union of the earlier pairs as sorted half-open bounds
+    # [a0, b0, a1, b1, ...]: m is covered when an odd number of them are <= m
+    seen: list[int] = []
+    for lo, hi in pairs:
+        m = lo
+        while m <= hi:
+            i = bisect_right(seen, m)
+            if i % 2:  # m lies in [seen[i - 1], seen[i]): skip to its end
+                m = seen[i]
+                continue
+            stop = min(hi + 1, seen[i]) if i < len(seen) else hi + 1
+            yield from range(m, stop)
+            m = stop
+        i, j = bisect_left(seen, lo), bisect_right(seen, hi + 1)
+        seen[i:j] = [b for b, k in ((lo, i), (hi + 1, j)) if k % 2 == 0]
 
 
 def load_field(path: str, mode_override: str | None = None) -> CMFieldData:
@@ -71,17 +96,16 @@ def load_field(path: str, mode_override: str | None = None) -> CMFieldData:
     return build_cm_field(D, elem, mode)
 
 
-def _report_objs(field: CMFieldData, ms: list[int], use_cache: bool) -> list[dict]:
+def _report_objs(field: CMFieldData, ms: Iterable[int], use_cache: bool) -> Iterator[dict]:
+    """Each m's report object in turn, read from the cache or computed and stored."""
     base = cache.cache_dir()
-    out = []
     for m in ms:
         obj = cache.read(base, {**field_header(field), "m": m}) if use_cache else None
         if obj is None:
             obj = report_json_obj(bm_report(field, m))
             if use_cache:
                 cache.write(base, obj)
-        out.append(obj)
-    return out
+        yield obj
 
 
 def _print_json(payload: dict, field: CMFieldData | None = None) -> None:
@@ -106,14 +130,15 @@ def _cmd_bm(args) -> int:
     field = load_field(args.field, args.mode)
     reports = _report_objs(field, parse_m_values(args.m), not args.no_cache)
     if args.format == "csv":
-        rows = (
+        # every row is built before the first is written, so a failing m prints nothing
+        rows = [
             (obj["m"], e["p"], e["b"], e["route_a"], e["route_b"])
             for obj in reports
             for e in obj["entries"]
-        )
+        ]
         _write_csv(field, ("p", "b", "route_a", "route_b"), rows)
     else:
-        _print_json({"reports": reports}, field)
+        _print_json({"reports": list(reports)}, field)
     return 0
 
 

@@ -1,13 +1,15 @@
 import hashlib
 import json
 import time
+import tracemalloc
+import weakref
 
 import pytest
 
 import cmint.cli as cli
 from cmint import selfcheck
 from cmint.bm import BmEntry, BmReport
-from cmint.errors import InternalConsistencyError
+from cmint.errors import InputError, InternalConsistencyError
 
 
 def write_field(path, D=5, x=-13, y=1, den=2, mode="strict"):
@@ -56,15 +58,35 @@ def test_m_ranges(tmp_path, cache_dir, capsys):
 
 
 def test_parse_m_values_first_occurrence_order():
-    assert cli.parse_m_values("3,1-4,2") == [3, 1, 2, 4]
+    assert list(cli.parse_m_values("3,1-4,2")) == [3, 1, 2, 4]
+    assert list(cli.parse_m_values("5-9,1-6,8,2-12,3")) == [5, 6, 7, 8, 9, 1, 2, 3, 4, 10, 11, 12]
 
 
 def test_parse_m_values_long_range_is_fast():
     start = time.perf_counter()
-    vals = cli.parse_m_values("1-32000,5,31990-32005")
+    vals = list(cli.parse_m_values("1-32000,5,31990-32005"))
     elapsed = time.perf_counter() - start
     assert vals == list(range(1, 32006))
     assert elapsed < 0.5, f"parsing took {elapsed:.2f}s"
+
+
+def test_parse_m_values_is_lazy():
+    # only the (lo, hi) pairs are held: the first m of a long range costs no list of it
+    tracemalloc.start()
+    try:
+        assert next(iter(cli.parse_m_values("1-200000"))) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes"
+
+
+def test_parse_m_values_checks_every_part_first():
+    # a bad part fails at the call, before any m is yielded, with the first bad part's text
+    with pytest.raises(InputError, match=r"'x'"):
+        cli.parse_m_values("1-5,x,3-1")
+    with pytest.raises(InputError, match=r"'3-1'"):
+        cli.parse_m_values("1-5,3-1,x")
 
 
 def test_intersect_exact_fractions(tmp_path, cache_dir, capsys):
@@ -278,16 +300,51 @@ def test_bad_m_specification(tmp_path, cache_dir, capsys):
     capsys.readouterr()
 
 
-def test_internal_error_exit_code(tmp_path, cache_dir, capsys, monkeypatch):
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["bm", "intersect"])
+def test_internal_error_exit_code(tmp_path, cache_dir, capsys, monkeypatch, command, fmt):
+    # a failing m prints nothing, and the reports of the m before it stay cached
     field = write_field(tmp_path / "f.json")
+    real = cli.bm_report
 
-    def boom(*a, **k):
-        raise InternalConsistencyError("routes disagree somewhere")
+    def boom(f, m):
+        if m == 3:
+            raise InternalConsistencyError("routes disagree somewhere")
+        return real(f, m)
 
     monkeypatch.setattr(cli, "bm_report", boom)
-    assert cli.run(["bm", "--field", field, "--m", "1", "--no-cache"]) == 3
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "internal-consistency"
+    assert cli.run([command, "--field", field, "--m", "1-3", "--format", fmt]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {
+        "error": "internal-consistency",
+        "detail": "routes disagree somewhere",
+    }
+    assert set(cache_files(cache_dir)) == {report_file(cache_dir, 1), report_file(cache_dir, 2)}
+
+
+@pytest.mark.parametrize("command", [["intersect"], ["bm", "--format", "csv"]])
+def test_one_report_alive_at_a_time(tmp_path, capsys, monkeypatch, command):
+    # the consumer's current report and the new one, never the whole range
+    class Report(dict):
+        __hash__ = object.__hash__  # weakly settable, by identity
+        __eq__ = object.__eq__
+
+    alive = weakref.WeakSet()
+    most = []
+    real = cli.report_json_obj
+
+    def tracked(report):
+        obj = Report(real(report))
+        alive.add(obj)
+        most.append(len(alive))
+        return obj
+
+    monkeypatch.setattr(cli, "report_json_obj", tracked)
+    field = write_field(tmp_path / "f.json")
+    assert cli.run([*command, "--field", field, "--m", "1-6", "--no-cache"]) == 0
+    assert capsys.readouterr().out
+    assert len(most) == 6 and max(most) <= 2, most
 
 
 def test_humbert_command(tmp_path, capsys):
