@@ -323,7 +323,9 @@ def test_internal_error_exit_code(tmp_path, cache_dir, capsys, monkeypatch, comm
     assert set(cache_files(cache_dir)) == {report_file(cache_dir, 1), report_file(cache_dir, 2)}
 
 
-@pytest.mark.parametrize("command", [["intersect"], ["bm", "--format", "csv"]])
+@pytest.mark.parametrize(
+    "command", [["intersect"], ["bm", "--format", "csv"]], ids=["intersect", "bm-csv"]
+)
 def test_one_report_alive_at_a_time(tmp_path, capsys, monkeypatch, command):
     # the consumer's current report and the new one, never the whole range
     class Report(dict):
