@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, isqrt
 
 from .cmfield import CMFieldData, spot_kinds
@@ -178,8 +179,11 @@ def _spot_exps(vec: list, field: CMFieldData, n: int, m: int, l: int, vl: int, r
     return True
 
 
-def _candidate_n(field: CMFieldData, m: int, m2dt: int, div: int) -> list[int]:
+def _candidate_n(field: CMFieldData, m: int, table: dict) -> list[int]:
     """The admissible signed n, ascending, that can pass membership at D.
+
+    `table` is the m's factor table, keyed by the admissible n >= 0.
+    Admissibility depends on n² only, so the n < 0 are their negatives.
 
     When D ∤ m and D splits in F̃, D | m²D̃ − n² puts n + m√D̃ in exactly one
     spot over D, the one whose label L has n ≡ −m·L (mod D), with valuation
@@ -188,8 +192,8 @@ def _candidate_n(field: CMFieldData, m: int, m2dt: int, div: int) -> list[int]:
     Otherwise every admissible n is returned, to be checked one by one.
     """
     D = field.D
-    nmax = isqrt(m2dt - 1)
-    ns = _admissible_n(m2dt, div, -nmax, nmax)
+    keys = list(table)
+    ns = [-k for k in reversed(keys) if k] + keys
     rows = spot_kinds(field, D)
     neg = [label for _, _, kind_f, shift, _, _, label in rows if kind_f == "split" and shift < 0]
     if m % D == 0 or not neg:
@@ -227,7 +231,7 @@ def _route_a(
     table = _factor_table(m2dt, div)
     terms: dict[int, list[tuple[int, int]]] = {}
     neg, dual = set(), []  # |n| of the members n < 0; the n > 0 whose −n is one too
-    for n in _candidate_n(field, m, m2dt, div):
+    for n in _candidate_n(field, m, table):
         big_n = m2dt - n * n
         vec = []
         member = True
@@ -292,11 +296,13 @@ def _route_b(field: CMFieldData, m: int) -> dict[int, int]:
         targets = [(p, e) for p, e in fac if m % p]
         if n == 0 or not targets:
             continue
+        # t_l = v_l(quot) − 2·v_l(m), and v_l(m) is 0 or 1 for squarefree m
+        t_ls = [(l, e if m % l else e - 2) for l, e in fac]
         for T in admissible_matrices(field, m, n):
             at_p: dict[int, int] = {}
             off_p: dict[int, int] = {}
-            for l, e in fac:
-                at_p[l], off_p[l] = b_l_factors(field, T, l, e - 2 * ord_p(m, l))
+            for l, t_l in t_ls:
+                at_p[l], off_p[l] = b_l_factors(field, T, l, t_l)
             for p, e in targets:
                 term = at_p[p]
                 for l, v in off_p.items():
@@ -356,20 +362,31 @@ def field_header(field: CMFieldData) -> dict:
     return {"D": field.D, "delta": {"x": d.x, "y": d.y, "den": d.den}, "mode": field.mode}
 
 
-def report_json_obj(rep: BmReport) -> dict:
-    """The report's JSON shape: the CLI prints it and the cache stores it."""
+def report_rows(rep: BmReport) -> dict:
+    """The report as rows: its head, its flags and one row per entry,
+    [p, b, route_b or None, [n₁, t₁, n₂, t₂, …]]. The cache stores it, and
+    the CLI reads its output from it; route (a) is b, so it has no column."""
     return {
         **field_header(rep.field),
         "m": rep.m,
+        "flags": list(rep.flags),
+        "entries": [[e.p, e.b, e.route_b, list(chain.from_iterable(e.per_n))] for e in rep.entries],
+    }
+
+
+def report_json_obj(rows: dict) -> dict:
+    """The JSON shape `bm` prints of the report whose rows are `rows`."""
+    return {
+        **{k: rows[k] for k in ("D", "delta", "mode", "m")},
         "entries": [
             {
-                "p": e.p,
-                "b": e.b,
-                "route_a": e.route_a,
-                "route_b": "inapplicable" if e.route_b is None else e.route_b,
-                "per_n": [{"n": n, "term": t} for n, t in e.per_n],
+                "p": p,
+                "b": b,
+                "route_a": b,
+                "route_b": "inapplicable" if route_b is None else route_b,
+                "per_n": [{"n": n, "term": t} for n, t in zip(flat[::2], flat[1::2])],
             }
-            for e in rep.entries
+            for p, b, route_b, flat in rows["entries"]
         ],
-        "flags": list(rep.flags),
+        "flags": rows["flags"],
     }

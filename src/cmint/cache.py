@@ -1,11 +1,14 @@
 """Report cache: one JSON file per (field, m).
 
 The report of the field (D, Δ = (x + y√D)/den, mode) at m is the file
-``<cache dir>/v2/<D>_<x>_<y>_<den>_<mode>_<m>.json``, holding
-``json.dumps(report, sort_keys=True)``. A file is input from outside the program:
-it is a hit only if it holds the report of exactly that field and m with entries
-the CLI can print. Anything else is a miss, recomputed and overwritten in place.
-A cache dir that cannot be written is skipped.
+``<cache dir>/v3/<D>_<x>_<y>_<den>_<mode>_<m>.json``, holding the rows of
+`bm.report_rows`: the head ``D``, ``delta``, ``mode``, ``m``, then ``flags``
+and ``entries``, one row ``[p, b, route_b or null, [n₁, t₁, n₂, t₂, …]]`` per
+prime, written compactly in that key order. A file is input from outside the
+program: it is a hit only if it holds the report of exactly that field and m
+with rows the CLI can print. Anything else is a miss, recomputed and
+overwritten in place. A cache dir that cannot be written is skipped. Files of
+other versions (``v2/``) are neither read nor removed.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ import os
 from pathlib import Path
 
 CACHE_ENV = "CMINT_CACHE_DIR"
-CACHE_VERSION = 2
-_ENTRY_KEYS = {"p", "b", "route_a", "route_b", "per_n"}
+CACHE_VERSION = 3
 
 
 def cache_dir() -> Path:
@@ -31,7 +33,7 @@ def report_path(base: Path, head: dict) -> Path:
 
 
 def read(base: Path, head: dict) -> dict | None:
-    """The cached report with exactly the header `head` (D, delta, mode, m), or None."""
+    """The cached rows with exactly the header `head` (D, delta, mode, m), or None."""
     try:
         obj = json.loads(report_path(base, head).read_bytes())
     except (OSError, ValueError, RecursionError):  # missing, torn, not JSON, too deep
@@ -39,19 +41,28 @@ def read(base: Path, head: dict) -> dict | None:
     # the header is compared as JSON text, so that 5.0 or true never stands in for 5 or 1
     want = json.dumps(list(head.values()), sort_keys=True)
     same = isinstance(obj, dict) and json.dumps([obj.get(k) for k in head], sort_keys=True) == want
-    entries = obj.get("entries") if same else None
-    ok = isinstance(entries, list) and all(
-        isinstance(e, dict) and _ENTRY_KEYS <= e.keys() and type(e["p"]) is type(e["b"]) is int
+    if not (same and type(obj.get("flags")) is list):
+        return None
+    entries = obj.get("entries")
+    # each row [p, b, route_b, per_n]: p and b ints (not bools), route_b an
+    # int or null, per_n a flat list of (n, term) pairs
+    ok = type(entries) is list and all(
+        type(e) is list
+        and len(e) == 4
+        and type(e[0]) is type(e[1]) is int
+        and (e[2] is None or type(e[2]) is int)
+        and type(e[3]) is list
+        and len(e[3]) % 2 == 0
         for e in entries
     )
     return obj if ok else None
 
 
-def write(base: Path, report: dict) -> None:
-    """Store `report`; a cache dir that cannot be written is skipped."""
-    path = report_path(base, report)
+def write(base: Path, rows: dict) -> None:
+    """Store the report rows `rows`; a cache dir that cannot be written is skipped."""
+    path = report_path(base, rows)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report, sort_keys=True))
+        path.write_text(json.dumps(rows, separators=(",", ":")))
     except OSError:
         pass

@@ -16,7 +16,7 @@ from .applications import (
     humbert_intersection,
     igusa_denominator_bounds,
 )
-from .bm import bm_report, field_header, report_json_obj
+from .bm import bm_report, field_header, report_json_obj, report_rows
 from .cmfield import CMFieldData, build_cm_field
 from .errors import FieldRejected, InputError, InternalConsistencyError
 from .logcombo import rational_json
@@ -96,16 +96,16 @@ def load_field(path: str, mode_override: str | None = None) -> CMFieldData:
     return build_cm_field(D, elem, mode)
 
 
-def _report_objs(field: CMFieldData, ms: Iterable[int], use_cache: bool) -> Iterator[dict]:
-    """Each m's report object in turn, read from the cache or computed and stored."""
+def _report_rows(field: CMFieldData, ms: Iterable[int], use_cache: bool) -> Iterator[dict]:
+    """Each m's report rows (`report_rows`) in turn, read from the cache or computed and stored."""
     base = cache.cache_dir()
     for m in ms:
-        obj = cache.read(base, {**field_header(field), "m": m}) if use_cache else None
-        if obj is None:
-            obj = report_json_obj(bm_report(field, m))
+        rows = cache.read(base, {**field_header(field), "m": m}) if use_cache else None
+        if rows is None:
+            rows = report_rows(bm_report(field, m))
             if use_cache:
-                cache.write(base, obj)
-        yield obj
+                cache.write(base, rows)
+        yield rows
 
 
 def _print_json(payload: dict, field: CMFieldData | None = None) -> None:
@@ -128,28 +128,29 @@ def _write_csv(field: CMFieldData, columns: tuple[str, ...], rows) -> None:
 
 def _cmd_bm(args) -> int:
     field = load_field(args.field, args.mode)
-    reports = _report_objs(field, parse_m_values(args.m), not args.no_cache)
+    reports = _report_rows(field, parse_m_values(args.m), not args.no_cache)
     if args.format == "csv":
-        # every row is built before the first is written, so a failing m prints nothing
+        # every row is built before the first is written, so a failing m prints nothing;
+        # route (a) is b, and a route (b) that does not apply prints as "inapplicable"
         rows = [
-            (obj["m"], e["p"], e["b"], e["route_a"], e["route_b"])
-            for obj in reports
-            for e in obj["entries"]
+            (rep["m"], p, b, b, "inapplicable" if route_b is None else route_b)
+            for rep in reports
+            for p, b, route_b, _ in rep["entries"]
         ]
         _write_csv(field, ("p", "b", "route_a", "route_b"), rows)
     else:
-        _print_json({"reports": list(reports)}, field)
+        _print_json({"reports": [report_json_obj(rep) for rep in reports]}, field)
     return 0
 
 
 def _cmd_intersect(args) -> int:
     field = load_field(args.field, args.mode)
     results = []
-    for obj in _report_objs(field, parse_m_values(args.m), not args.no_cache):
-        bs = {e["p"]: e["b"] for e in obj["entries"]}  # a repeated p: the last one counts
+    for rep in _report_rows(field, parse_m_values(args.m), not args.no_cache):
+        bs = {p: b for p, b, _, _ in rep["entries"]}  # a repeated p: the last one counts
         # ½·b exactly, as `rational_json` writes it: b // 2, or "b/2" when b is odd
         half = {str(p): b // 2 if b % 2 == 0 else f"{b}/2" for p, b in sorted(bs.items()) if b}
-        results.append({"m": obj["m"], "intersection": half})
+        results.append({"m": rep["m"], "intersection": half})
     if args.format == "csv":
         rows = ((r["m"], p, c) for r in results for p, c in r["intersection"].items())
         _write_csv(field, ("p", "coefficient"), rows)

@@ -208,10 +208,17 @@ def build_cm_field(D: int, delta: QuadElem, mode: str = "strict") -> CMFieldData
     return _build_cached(D, delta.x, delta.y, delta.den, mode)
 
 
+# the two kinds in K̃ of an odd spot where Δ̃ is a unit, each mapped to the other
+_OTHER_UNIT_KIND = {"split": "inert", "inert": "split"}
+
+
 @lru_cache(maxsize=1 << 14)
 def spot_kinds(field: CMFieldData, l: int) -> tuple[tuple, ...]:
     """Each spot of F̃ over l, in `splitting` order, as the flat row
     (spot, its kind in K̃, its kind in F̃, shift, e_𝔡, f, label).
+
+    Over an odd l ∤ norm(Δ̃) that splits in F̃, only the first spot's kind
+    is computed; the second follows from it and (norm(Δ̃) | l).
 
     e_𝔡 is the exponent of the relative different at the spot and
     shift = e_𝔡 − v_l(2D)·e, the exponent of 𝔡⁻¹ minus that of 2D; it is
@@ -224,10 +231,22 @@ def spot_kinds(field: CMFieldData, l: int) -> tuple[tuple, ...]:
     dt = field.delta_tilde
     rel = dict(field.rel_diff)
     o2d = ord_p(2 * field.D, l)
+    spots = _splitting(field.dtilde, l)
+    kinds = [_square_class_kind(dt, spots[0])]
+    if len(spots) == 2:
+        nrm = dt.x * dt.x - dt.y * dt.y * field.dtilde  # norm(Δ̃); Δ̃ has den 1
+        if l != 2 and nrm % l:
+            # Δ̃ is a unit at both spots and its two images multiply to
+            # norm(Δ̃) mod l: the second is a square exactly when the first
+            # is, if (norm(Δ̃) | l) = 1, and exactly when it is not otherwise
+            first = kinds[0]
+            kinds.append(first if kronecker(nrm, l) == 1 else _OTHER_UNIT_KIND[first])
+        else:
+            kinds.append(_square_class_kind(dt, spots[1]))
     rows = []
-    for s in _splitting(field.dtilde, l):
+    for s, kind in zip(spots, kinds):
         r = rel.get(s, 0)
-        rows.append((s, _square_class_kind(dt, s), s.kind, r - o2d * s.e, r, s.f, s.label))
+        rows.append((s, kind, s.kind, r - o2d * s.e, r, s.f, s.label))
     return tuple(rows)
 
 

@@ -28,9 +28,10 @@ def _alpha_unit(T: TMatrix, l: int) -> int:
     q, the entries are the numerators over s divided by the l-unit q/s.
     """
     s = l ** ord_p(T.q, l)
-    if any(v % s for v in T.num):
+    a, b, c = T.num
+    if a % s or b % s or c % s:
         raise InternalConsistencyError(f"T is not integral at {l}")
-    a, b, c = (v // s for v in T.num)
+    a, b, c = a // s, b // s, c // s
     q = T.q // s
     modulus = 8 if l == 2 else l
     u = c if c % l else a if a % l else a + 2 * b + c

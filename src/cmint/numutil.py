@@ -152,7 +152,8 @@ def prime_factors(n: int) -> tuple[int, ...]:
 
 
 def is_squarefree(n: int) -> bool:
-    return n >= 1 and all(e == 1 for _, e in factorize(n))
+    # a prime, such as a validated D, needs no trial division
+    return is_prime(n) or (n >= 1 and all(e == 1 for _, e in factorize(n)))
 
 
 def is_perfect_square(n: int) -> bool:

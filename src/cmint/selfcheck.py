@@ -23,7 +23,7 @@ from .applications import (
     humbert_intersection,
     igusa_denominator_bounds,
 )
-from .bm import bm_full, bm_report, intersection_number, report_json_obj
+from .bm import bm_full, bm_report, intersection_number, report_rows
 from .cmfield import CMFieldData, build_cm_field
 from .errors import FieldRejected, InternalConsistencyError
 from .numutil import is_squarefree, prime_factors, primes_up_to
@@ -251,20 +251,35 @@ def check_cyclotomic() -> int:
     ])
 
 
+# the cache file of the worked instance at m = 1: every byte of the v3 layout
+WORKED_ROWS = (
+    '{"D":5,"delta":{"x":-13,"y":1,"den":2},"mode":"strict","m":1,'
+    '"flags":[],"entries":[[2,2,2,[-1,2]]]}'
+)
+
+
 def check_cache_roundtrip() -> int:
-    """A report written to a temp cache reads back byte-identical, and `{}` is a miss."""
-    obj = report_json_obj(bm_report(worked_field(), 1))
-    head = {k: obj[k] for k in ("D", "delta", "mode", "m")}
+    """The worked report's rows are stored as the locked bytes and read back
+    equal; `{}` and a file of v2-shaped entry objects are misses."""
+    rows = report_rows(bm_report(worked_field(), 1))
+    head = {k: rows[k] for k in ("D", "delta", "mode", "m")}
+    v2_entry = {"p": 2, "b": 2, "route_a": 2, "route_b": 2, "per_n": [{"n": -1, "term": 2}]}
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
-        cache.write(base, obj)
-        cache.write(base, obj)  # a rewrite overwrites the file in place
+        path = cache.report_path(base, head)
+        cache.write(base, rows)
+        cache.write(base, rows)  # a rewrite overwrites the file in place
+        stored = path.read_text()
         back = cache.read(base, head)
-        cache.report_path(base, head).write_text("{}")
-        foreign = cache.read(base, head)
+        path.write_text("{}")
+        empty = cache.read(base, head)
+        path.write_text(json.dumps({**rows, "entries": [v2_entry]}))
+        old_shape = cache.read(base, head)
     return _locked([
-        ("cached report", json.dumps(back, sort_keys=True), json.dumps(obj, sort_keys=True)),
-        ("a file that holds no report", foreign, None),
+        ("stored rows", stored, WORKED_ROWS),
+        ("cached report", back, rows),
+        ("a file that holds no report", empty, None),
+        ("a file of v2 entry objects", old_shape, None),
     ])
 
 

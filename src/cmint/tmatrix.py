@@ -78,7 +78,7 @@ def t_matrix(field: CMFieldData, m: int, n: int, mu: int) -> TMatrix | None:
     a = -4 * D * den * mu * n - D * b - 2 * D * (D - 1) * s
     if a <= 0:
         return None
-    if any((m * v) % q for v in (a, b, c)):
+    if (m * a) % q or (m * b) % q or (m * c) % q:
         return None
     if (a * c - b * b) * D * m * m != (m * m * field.dtilde - n * n) * q * q:
         raise InternalConsistencyError("determinant identity failed")
@@ -91,16 +91,16 @@ def admissible_matrices(field: CMFieldData, m: int, n: int) -> tuple[TMatrix, ..
     Both signs are admissible when D | n and exactly one otherwise; a
     violation of that rule is an internal error.
     """
-    mats = tuple(T for mu in (1, -1) if (T := t_matrix(field, m, n, mu)) is not None)
-    ok = tuple(T.mu for T in mats)
+    pos = t_matrix(field, m, n, 1)
+    neg = t_matrix(field, m, n, -1)
     if n % field.D == 0:
-        if ok != (1, -1):
-            raise InternalConsistencyError(
-                f"both signs must be admissible when D | n; got {ok} for (m={m}, n={n})"
-            )
-    elif len(ok) != 1:
-        raise InternalConsistencyError(
-            f"exactly one sign must be admissible when D ∤ n; got {ok} for (m={m}, n={n})"
-        )
-    return mats
+        if pos is not None and neg is not None:
+            return (pos, neg)
+        rule = "both signs must be admissible when D | n"
+    elif (pos is None) != (neg is None):
+        return (neg,) if pos is None else (pos,)
+    else:
+        rule = "exactly one sign must be admissible when D ∤ n"
+    ok = tuple(T.mu for T in (pos, neg) if T is not None)
+    raise InternalConsistencyError(f"{rule}; got {ok} for (m={m}, n={n})")
 

@@ -18,6 +18,7 @@ from cmint.bm import (
     bm_report,
     intersection_number,
     report_json_obj,
+    report_rows,
     support_primes,
 )
 from cmint.cmfield import CMFieldData, build_cm_field, classify_in_reflex_cm, rho
@@ -45,8 +46,21 @@ def test_worked_instance():
     assert _route_a(worked_field(), 1) == ({2: [(-1, 2)]}, (), False)
 
 
+def test_report_rows_shape():
+    # the cache's layout: the head, the flags, then [p, b, route_b, flat per_n] rows
+    rows = report_rows(bm_report(worked_field(), 1))
+    assert list(rows) == ["D", "delta", "mode", "m", "flags", "entries"]
+    assert rows["entries"] == [[2, 2, 2, [-1, 2]]] and rows["flags"] == []
+    rep = bm_report(build_cm_field(13, QuadElem(QuadField(13), -21, -2, 1)), 9)
+    rows = report_rows(rep)
+    assert rows["entries"] == [
+        [e.p, e.b, e.route_b, [x for pair in e.per_n for x in pair]] for e in rep.entries
+    ]
+    assert any(r[2] is None for r in rows["entries"]) and all(e.route_a == e.b for e in rep.entries)
+
+
 def test_report_json_shape():
-    obj = report_json_obj(bm_report(worked_field(), 1))
+    obj = report_json_obj(report_rows(bm_report(worked_field(), 1)))
     assert obj["D"] == 5 and obj["m"] == 1 and obj["mode"] == "strict"
     assert obj["delta"] == {"x": -13, "y": 1, "den": 2}
     assert obj["entries"] == [

@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 import cmint.cli as cli
-from cmint import selfcheck
+from cmint import numutil, selfcheck
 from cmint.bm import BmEntry, BmReport
 from cmint.errors import InputError, InternalConsistencyError
 
@@ -127,7 +127,7 @@ def cache_files(cache_dir) -> dict:
 
 
 def report_file(cache_dir, m, D=5, x=-13, y=1, den=2, mode="strict"):
-    return cache_dir / "v2" / f"{D}_{x}_{y}_{den}_{mode}_{m}.json"
+    return cache_dir / "v3" / f"{D}_{x}_{y}_{den}_{mode}_{m}.json"
 
 
 def test_cache_roundtrip_byte_identical(tmp_path, cache_dir, capsys):
@@ -137,7 +137,12 @@ def test_cache_roundtrip_byte_identical(tmp_path, cache_dir, capsys):
     before = cache_files(cache_dir)
     assert set(before) == {report_file(cache_dir, 1), report_file(cache_dir, 2)}
     for f, (data, _) in before.items():
-        assert json.loads(data)["m"] == int(f.stem.rsplit("_", 1)[1])
+        rows = json.loads(data)
+        assert rows["m"] == int(f.stem.rsplit("_", 1)[1])
+        # compact rows in the code's key order, no sorted keys
+        assert data == json.dumps(rows, separators=(",", ":")).encode()
+        assert all(type(row) is list and len(row) == 4 for row in rows["entries"])
+    assert before[report_file(cache_dir, 1)][0] == selfcheck.WORKED_ROWS.encode()
     assert cli.run(["bm", "--field", field, "--m", "1-2"]) == 0
     second = capsys.readouterr().out
     assert first == second
@@ -166,7 +171,7 @@ def test_corrupt_cache_line_is_ignored(tmp_path, cache_dir, capsys):
 def foreign_content(kind: str, good: str, other: str) -> bytes:
     """A cache file's content that is not the report it should hold."""
     obj = json.loads(good)
-    entry = obj["entries"][0]
+    p, b, route_b, per_n = obj["entries"][0]
     texts = {
         "empty-object": "{}",
         "array": "[]",
@@ -182,7 +187,11 @@ def foreign_content(kind: str, good: str, other: str) -> bytes:
         "entries-not-list": json.dumps({**obj, "entries": {}}),
         "entry-not-object": json.dumps({**obj, "entries": [1]}),
         "entry-missing-key": json.dumps({**obj, "entries": [{"p": 2, "b": 2}]}),
-        "b-not-int": json.dumps({**obj, "entries": [{**entry, "b": "x"}]}),
+        "b-not-int": json.dumps({**obj, "entries": [[p, "x", route_b, per_n]]}),
+        "row-wrong-length": json.dumps({**obj, "entries": [[p, b, route_b]]}),
+        "p-as-bool": json.dumps({**obj, "entries": [[True, b, route_b, per_n]]}),
+        "route-b-string": json.dumps({**obj, "entries": [[p, b, "inapplicable", per_n]]}),
+        "per-n-odd-length": json.dumps({**obj, "entries": [[p, b, route_b, per_n[:-1]]]}),
     }
     return b"\xff" + good.encode() if kind == "not-utf8" else texts[kind].encode()
 
@@ -191,6 +200,7 @@ FOREIGN_KINDS = [
     "empty-object", "array", "null", "empty-file", "truncated", "too-deep", "not-utf8",
     "old-cache-row", "other-m", "m-as-float", "m-as-bool", "extra-delta-key",
     "entries-not-list", "entry-not-object", "entry-missing-key", "b-not-int",
+    "row-wrong-length", "p-as-bool", "route-b-string", "per-n-odd-length",
 ]
 
 
@@ -232,6 +242,29 @@ def test_warm_single_m_reads_only_its_file(tmp_path, cache_dir, capsys, monkeypa
     assert cli.run(["bm", "--field", field, "--m", "1"]) == 0
     assert capsys.readouterr().out == cold
     assert cache_files(cache_dir) == before
+
+
+@pytest.mark.parametrize("command", ["bm", "intersect"])
+def test_v2_cache_file_is_neither_read_nor_removed(tmp_path, cache_dir, capsys, command):
+    # a file of the previous layout, here with a b no computation gives
+    field = write_field(tmp_path / "f.json")
+    argv = [command, "--field", field, "--m", "1"]
+    assert cli.run(argv + ["--no-cache"]) == 0
+    cold = capsys.readouterr().out
+    old = cache_dir / "v2" / report_file(cache_dir, 1).name
+    old.parent.mkdir(parents=True)
+    entry = {"p": 2, "b": 98, "route_a": 98, "route_b": 98, "per_n": [{"n": -1, "term": 98}]}
+    text = json.dumps(
+        {"D": 5, "delta": {"x": -13, "y": 1, "den": 2}, "mode": "strict", "m": 1,
+         "entries": [entry], "flags": []},
+        sort_keys=True,
+    )
+    old.write_text(text)
+    for _ in range(2):  # cold, then warm from the v3 file
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out == cold
+    assert old.read_text() == text
+    assert set(cache_files(cache_dir)) == {old, report_file(cache_dir, 1)}
 
 
 @pytest.mark.parametrize("command", ["bm", "intersect"])
@@ -292,6 +325,23 @@ def test_bad_D_is_refused_as_D(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["reason"] == "invalid-delta"
 
 
+def test_prime_D_is_not_trial_divided(tmp_path, capsys, monkeypatch):
+    # a 13-digit prime D is proved prime, never factored, by load_field and
+    # again by the field's build; Δ = −1,000,001 + √D has norm ≡ 0 mod 4
+    calls = []
+    real = numutil.factorize
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(numutil, "factorize", counting)
+    field = write_field(tmp_path / "big.json", D=1_000_000_000_061, x=-1_000_001, y=1, den=1)
+    assert cli.run(["bm", "--field", field, "--m", "1", "--no-cache"]) == 2
+    assert json.loads(capsys.readouterr().err)["reason"] == "norm-not-1-mod-4"
+    assert calls == []
+
+
 def test_bad_m_specification(tmp_path, cache_dir, capsys):
     field = write_field(tmp_path / "f.json")
     assert cli.run(["bm", "--field", field, "--m", "3-1"]) == 2
@@ -334,15 +384,15 @@ def test_one_report_alive_at_a_time(tmp_path, capsys, monkeypatch, command):
 
     alive = weakref.WeakSet()
     most = []
-    real = cli.report_json_obj
+    real = cli.report_rows
 
     def tracked(report):
-        obj = Report(real(report))
-        alive.add(obj)
+        rows = Report(real(report))
+        alive.add(rows)
         most.append(len(alive))
-        return obj
+        return rows
 
-    monkeypatch.setattr(cli, "report_json_obj", tracked)
+    monkeypatch.setattr(cli, "report_rows", tracked)
     field = write_field(tmp_path / "f.json")
     assert cli.run([*command, "--field", field, "--m", "1-6", "--no-cache"]) == 0
     assert capsys.readouterr().out
@@ -513,9 +563,9 @@ def test_intersect_halves_any_cached_entries(tmp_path, cache_dir, capsys):
     capsys.readouterr()
     path = report_file(cache_dir, 1)
     obj = json.loads(path.read_text())
-    entry = obj["entries"][0]
+    _, _, route_b, per_n = obj["entries"][0]
     pairs = ((11, 3), (2, 5), (3, 0), (2, 7), (5, -1))
-    path.write_text(json.dumps({**obj, "entries": [{**entry, "p": p, "b": b} for p, b in pairs]}))
+    path.write_text(json.dumps({**obj, "entries": [[p, b, route_b, per_n] for p, b in pairs]}))
     assert cli.run(["intersect", "--field", field, "--m", "1"]) == 0
     out = capsys.readouterr().out
     assert '"11": "3/2",\n        "2": "7/2",\n        "5": "-1/2"' in out

@@ -13,7 +13,7 @@ from cmint.cmfield import (
     spot_kinds,
 )
 from cmint.errors import FieldRejected, InputError
-from cmint.numutil import ord_p, primes_up_to
+from cmint.numutil import ord_p, prime_factors, primes_up_to
 from cmint.quadfield import (
     PrimeSpot,
     QuadElem,
@@ -93,7 +93,8 @@ def test_rejections():
 
 def test_build_factors_the_norm_once(monkeypatch):
     # the squarefree verdict on D̃ comes from constructing F̃ = Q(√D̃), so a
-    # norm past trial division goes through Pollard rho once per build
+    # norm past trial division goes through Pollard rho once per build; a
+    # prime norm is proved prime and never factored
     calls = Counter()
     real = numutil.factorize
 
@@ -110,7 +111,7 @@ def test_build_factors_the_norm_once(monkeypatch):
     ):
         calls.clear()
         assert build(D, x, y, den, mode).dtilde == dt
-        assert calls[dt] == 1, (dt, calls[dt])
+        assert calls[dt] == (0 if numutil.is_prime(dt) else 1), (dt, calls[dt])
     calls.clear()
     with pytest.raises(FieldRejected) as e:
         build(13, -13, -2, 1, "permissive")
@@ -286,6 +287,26 @@ def test_spot_kinds_rows():
                 assert (kind_f, e_d, f_s, label) == (s.kind, rel.get(s, 0), s.f, s.label)
                 assert shift == e_d - ord_p(2 * f.D, l) * s.e
                 assert shift >= 0 or (2 * f.D) % l == 0
+
+
+def test_spot_kinds_derives_the_second_split_kind():
+    # over an odd l ∤ norm(Δ̃) the second split spot's kind comes from the
+    # first's and (norm(Δ̃) | l); over l | norm(Δ̃) both are computed. Either
+    # way each kind is the one `_square_class_kind` gives for its spot
+    fields = sweep_fields() + [
+        build_cm_field(5, QuadElem(F5, -25, -3, 2), mode="permissive"),
+        build_cm_field(17, QuadElem(QuadField(17), -17, -2), mode="permissive"),
+    ]
+    derived = computed = 0
+    for f in fields:
+        nrm = int(elem_norm(f.delta_tilde))
+        for l in sorted(set(primes_up_to(1000)) | set(prime_factors(nrm))):
+            want = [_square_class_kind(f.delta_tilde, s) for s in splitting(f.reflex, l)]
+            assert [kind for _, kind, *_ in spot_kinds(f, l)] == want, (f.D, f.delta, f.mode, l)
+            if len(want) == 2 and l != 2:
+                derived += nrm % l != 0
+                computed += nrm % l == 0
+    assert derived > 3000 and computed > 20, (derived, computed)
 
 
 def test_stored_field_hash_is_the_generated_one():
