@@ -28,7 +28,7 @@ from .localdensity import b_l_factors
 from .logcombo import LogCombo
 from .numutil import factorize, is_prime, is_squarefree, ord_p, primes_up_to
 from .padic import _sqrt_mod_prime, kronecker
-from .quadfield import PrimeSpot, QuadElem, ord_at
+from .quadfield import split_ord
 from .tmatrix import admissible_matrices
 
 
@@ -43,9 +43,6 @@ class BmEntry(Frozen):
         object.__setattr__(self, "route_a", route_a)
         object.__setattr__(self, "route_b", route_b)
         object.__setattr__(self, "per_n", per_n)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.b, self.route_a, self.route_b, self.per_n))
 
 
 class BmReport(Frozen):
@@ -135,27 +132,11 @@ def _factor_table(m2dt: int, div: int) -> dict[int, tuple[tuple[int, int], ...]]
     return dict(zip(ns, map(tuple, facs)))
 
 
-def _split_ord(n: int, m: int, spot: PrimeSpot, vl: int, vm: int) -> int:
-    """ord of n + m√D̃ at a split spot over an odd l.
-
-    Needs vl = v_l(m²D̃ − n²) and vm = v_l(m). With g = min(v_l(n), vm) the
-    element is l^g times one outside l·O_F̃, which lies in at most one of the
-    two spots over l: the one whose residue of √D̃ (its label) makes
-    n/l^g + (m/l^g)·√D̃ vanish mod l. That spot takes the rest of vl.
-    """
-    l = spot.l
-    g = 0
-    if vm and n % l == 0:
-        g = vm if n == 0 else min(vm, ord_p(n, l))
-    q = l**g
-    return vl - g if (n // q + m // q * spot.label) % l == 0 else g
-
-
-def _spot_exps(vec: list, field: CMFieldData, n: int, m: int, l: int, vl: int, rows) -> bool:
+def _spot_exps(vec: list, n: int, m: int, l: int, vl: int, rows) -> bool:
     """Append (l, kind in K̃, exponent, e_𝔡, f) for each spot over l where t·𝔡,
     t = (n + m√D̃)/2D, has a nonzero exponent; False if one is negative. Needs
     vl = v_l(m²D̃ − n²) and the rows of `spot_kinds(field, l)`."""
-    for spot, kind, kind_f, shift, rel, f, label in rows:
+    for spot, kind, kind_f, shift, rel, f, _ in rows:
         if not vl:
             v = 0
         elif kind_f == "ramified":
@@ -164,13 +145,8 @@ def _spot_exps(vec: list, field: CMFieldData, n: int, m: int, l: int, vl: int, r
             if vl % 2:
                 raise InternalConsistencyError("odd norm valuation at an inert spot")
             v = vl // 2
-        elif l == 2:
-            v = ord_at(QuadElem(field.reflex, n, m, 1), spot)
-        elif m % l:
-            # l ∤ n too, so n + m√D̃ lies in one spot over l: the one whose label it kills
-            v = vl if (n + m * label) % l == 0 else 0
         else:
-            v = _split_ord(n, m, spot, vl, ord_p(m, l))
+            v = split_ord(n, m, spot, vl)
         exp = v + shift
         if exp < 0:
             return False
@@ -236,7 +212,7 @@ def _route_a(
         vec = []
         member = True
         for l, rows in fixed:
-            if not _spot_exps(vec, field, n, m, l, ord_p(big_n, l), rows):
+            if not _spot_exps(vec, n, m, l, ord_p(big_n, l), rows):
                 member = False
                 break
         if not member:
@@ -244,7 +220,7 @@ def _route_a(
         for l, vl in table[abs(n)]:
             if l not in rows_at:
                 rows_at[l] = spot_kinds(field, l)
-            _spot_exps(vec, field, n, m, l, vl, rows_at[l])
+            _spot_exps(vec, n, m, l, vl, rows_at[l])
         if n < 0:
             neg.add(-n)
         elif n in neg and n % D:

@@ -41,19 +41,25 @@ def read(base: Path, head: dict) -> dict | None:
     # the header is compared as JSON text, so that 5.0 or true never stands in for 5 or 1
     want = json.dumps(list(head.values()), sort_keys=True)
     same = isinstance(obj, dict) and json.dumps([obj.get(k) for k in head], sort_keys=True) == want
-    if not (same and type(obj.get("flags")) is list):
+    if not same:
         return None
-    entries = obj.get("entries")
-    # each row [p, b, route_b, per_n]: p and b ints (not bools), route_b an
-    # int or null, per_n a flat list of (n, term) pairs
-    ok = type(entries) is list and all(
-        type(e) is list
-        and len(e) == 4
-        and type(e[0]) is type(e[1]) is int
-        and (e[2] is None or type(e[2]) is int)
-        and type(e[3]) is list
-        and len(e[3]) % 2 == 0
-        for e in entries
+    flags, entries = obj.get("flags"), obj.get("entries")
+    # flags are strings; each row [p, b, route_b, per_n]: p and b ints (not
+    # bools), route_b an int or null, per_n a flat list of (n, term) int pairs
+    ok = (
+        type(flags) is list
+        and {type(f) for f in flags} <= {str}
+        and type(entries) is list
+        and all(
+            type(e) is list
+            and len(e) == 4
+            and type(e[0]) is type(e[1]) is int
+            and (e[2] is None or type(e[2]) is int)
+            and type(e[3]) is list
+            and len(e[3]) % 2 == 0
+            for e in entries
+        )
+        and {type(v) for e in entries for v in e[3]} <= {int}
     )
     return obj if ok else None
 

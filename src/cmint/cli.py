@@ -33,13 +33,17 @@ def parse_m_values(text: str) -> Iterator[int]:
     """
     pairs = []
     for part in text.split(","):
+        bad = InputError(f"bad m specification: {part.strip()!r}")
         mobj = _RANGE.match(part.strip())
         if not mobj:
-            raise InputError(f"bad m specification: {part.strip()!r}")
-        lo = int(mobj.group(1))
-        hi = int(mobj.group(2)) if mobj.group(2) else lo
+            raise bad
+        try:
+            lo = int(mobj.group(1))
+            hi = int(mobj.group(2)) if mobj.group(2) else lo
+        except ValueError:  # more digits than `int` converts (4,300)
+            raise bad from None
         if lo < 1 or hi < lo:
-            raise InputError(f"bad m specification: {part.strip()!r}")
+            raise bad
         pairs.append((lo, hi))
     return _first_occurrences(pairs)
 
@@ -64,12 +68,12 @@ def _first_occurrences(pairs: list[tuple[int, int]]) -> Iterator[int]:
 
 def load_field(path: str, mode_override: str | None = None) -> CMFieldData:
     try:
-        raw = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise FieldRejected("unreadable-field-file", str(exc)) from exc
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, not text, too deep, too many digits
         raise FieldRejected("malformed-field-file", str(exc)) from exc
     if not isinstance(data, dict):
         raise FieldRejected("malformed-field-file", "top level must be a JSON object")

@@ -28,7 +28,8 @@ from .quadfield import (
     elem_div_exact,
     elem_norm,
     ord_at,
-    spot_embed,
+    split_ord,
+    split_root,
 )
 
 
@@ -106,18 +107,23 @@ def _square_class_kind(elem: QuadElem, spot: PrimeSpot) -> str:
     """Splitting of the quadratic extension F_spot(√elem) of the completion."""
     l = spot.l
     if spot.kind == "split":
-        # the image of elem·den has valuation at most v_l(norm(elem·den)), so
-        # this precision gives its valuation and its unit mod l (mod 8 at 2)
-        vn = ord_p(elem.x * elem.x - elem.y * elem.y * spot.disc, l)
-        img = spot_embed(elem, spot, vn + (3 if l == 2 else 1))
-        if img == 0:
-            raise InternalConsistencyError("split unit-part extraction failed")
-        e = ord_p(img, l)
-        if (e - ord_p(elem.den, l)) % 2:
+        x, y = elem.x, elem.y
+        nrm = x * x - y * y * spot.disc
+        vn = ord_p(nrm, l)
+        v = split_ord(x, y, spot, vn)
+        if (v - ord_p(elem.den, l)) % 2:
             return "ramified"
-        u = img // l**e
+        # with √d mod l (mod 16 at 2), x + y√d gives its image of smaller
+        # valuation w, here or at the other spot, mod l^(w+1) (2^(w+3)): l^g
+        # divides y, and w is g (g or g + 1 at 2) in `split_ord`'s terms. That
+        # is its unit mod l (mod 8); the two images multiply to nrm
+        r, mod = split_root(spot), 8 if l == 2 else l
+        if 2 * v <= vn:
+            u = (x + y * r) // l**v % mod
+        else:
+            other = (x - y * r) // l ** (vn - v) % mod
+            u = nrm // l**vn * pow(other, -1, mod) % mod
         if l == 2:
-            u %= 8
             return "split" if u == 1 else ("inert" if u == 5 else "ramified")
         u = u * pow(elem.den, -1, l) % l
         return "split" if kronecker(u, l) == 1 else "inert"

@@ -148,18 +148,8 @@ def hensel_sqrt(a: Rational, l: int, k: int) -> int | None:
     if kronecker(am, l) != 1:
         return None
     r = _sqrt_mod_prime(am, l)
-    return _lift_sqrt(am, min(r, l - r), l, k)
-
-
-def _lift_sqrt(a: int, r: int, l: int, k: int) -> int:
-    """The square root of a modulo l^k that is ≡ r mod l.
-
-    Needs an odd prime l, which is not proved here, and r² ≡ a ≢ 0 mod l.
-    """
-    target = l**k
-    mod = l
-    r %= l
+    r, mod = min(r, l - r), l
     while mod < target:
         mod = min(mod * mod, target)
-        r = (r + a * pow(r, -1, mod)) * pow(2, -1, mod) % mod
+        r = (r + am * pow(r, -1, mod)) * pow(2, -1, mod) % mod
     return r

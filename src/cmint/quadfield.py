@@ -7,12 +7,11 @@ told apart by the residue class of √d they select.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InputError, InternalConsistencyError
 from .frozen import Frozen
 from .numutil import is_prime, is_squarefree, ord_p
-from .padic import _lift_sqrt, _sqrt_mod_prime, hensel_sqrt, kronecker
+from .padic import _sqrt_mod_prime, kronecker
 
 
 class QuadField(Frozen):
@@ -24,9 +23,6 @@ class QuadField(Frozen):
         if disc <= 1 or disc % 4 != 1 or not is_squarefree(disc):
             raise InputError(f"need squarefree disc ≡ 1 mod 4, disc > 1; got {disc}")
         object.__setattr__(self, "disc", disc)
-
-    def __hash__(self) -> int:
-        return hash((self.disc,))
 
 
 class QuadElem(Frozen):
@@ -50,9 +46,6 @@ class QuadElem(Frozen):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "den", den)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.x, self.y, self.den))
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
@@ -174,35 +167,41 @@ def splitting(field: QuadField, l: int) -> tuple[PrimeSpot, ...]:
     return _splitting(field.disc, l)
 
 
-@lru_cache(maxsize=1 << 15)
-def _root_for_spot(disc: int, l: int, label: int, k: int) -> int:
-    """The mod-l^k image of √disc under this split spot's embedding.
+# √d mod 16 at the split spot over 2 labelled 1 (the root ≡ 1 mod 4), by d mod 32
+_DYADIC_ROOT = {1: 1, 9: 13, 17: 9, 25: 5}
 
-    For odd l it is the lift of the label, so l, proved prime before the spot
-    was made, is not proved again. `spot_embed` reads k = 1 off the label, so
-    the memo keeps only the deeper precisions, which route A's dyadic `ord_at`
-    asks for again and again.
+
+def split_root(spot: PrimeSpot) -> int:
+    """√d at a split spot: mod l for odd l (the label), mod 16 for l = 2."""
+    if spot.l != 2:
+        return spot.label
+    r = _DYADIC_ROOT[spot.disc % 32]
+    return r if spot.label == 1 else -r
+
+
+def split_ord(x: int, y: int, spot: PrimeSpot, vn: int) -> int:
+    """Valuation of x + y√d ≠ 0 at a split spot, read off the spot's label.
+
+    Needs vn = v_l(x² − y²d). Write x + y√d = l^g·(x′ + y′√d) with l^g the
+    largest power dividing both x and y; the valuation is g plus that of
+    x′ + y′√d. Its two images, one per spot, add to 2x′ and multiply to a
+    number of valuation vn − 2g. For odd l at most one of them is ≡ 0 mod l:
+    the one at the spot whose label r has x′ + y′r ≡ 0 mod l, which takes all
+    of vn − 2g. At 2 both are units unless x′ and y′ are both odd; then the
+    one at the spot whose label r (√d mod 4) has x′ + y′r ≡ 2 mod 4 takes 1,
+    and the other vn − 2g − 1.
     """
-    if l != 2:
-        return _lift_sqrt(disc, label, l, k)
-    r = hensel_sqrt(disc, 2, k)
-    if r is None:
-        raise InternalConsistencyError("no square root at a split spot")
-    return r if label == 1 else ((1 << k) - r)
-
-
-def spot_embed(e: QuadElem, spot: PrimeSpot, k: int) -> int:
-    """Image of a (possibly half-integral) element in Z/l^k under a split spot.
-
-    The result is the embedding of e·den, i.e. the den factor is NOT divided
-    out; callers account for it via valuations.
-    """
-    if spot.kind != "split":
-        raise InputError("spot_embed needs a split spot")
     l = spot.l
-    if k == 1 and l != 2:
-        return (e.x + e.y * spot.label) % l  # the label is √disc mod l
-    return (e.x + e.y * _root_for_spot(spot.disc, l, spot.label, k)) % l**k
+    g = 0
+    while x % l == 0 and y % l == 0:
+        x //= l
+        y //= l
+        g += 1
+    if l != 2:
+        return vn - g if (x + y * spot.label) % l == 0 else g
+    if not x & y & 1:
+        return g
+    return g + 1 if (x + y * spot.label) % 4 == 2 else vn - g - 1
 
 
 def ord_at(e: QuadElem, spot: PrimeSpot) -> int:
@@ -221,8 +220,4 @@ def ord_at(e: QuadElem, spot: PrimeSpot) -> int:
         if vn % 2:
             raise InternalConsistencyError("odd norm valuation at an inert spot")
         return vn // 2 - vden
-    k = vn + vden + 2
-    img = spot_embed(e, spot, k)
-    if img == 0:
-        raise InternalConsistencyError("split embedding vanished at full precision")
-    return ord_p(img, l) - vden
+    return split_ord(e.x, e.y, spot, vn) - vden

@@ -36,9 +36,6 @@ class TMatrix(Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mu", mu)
 
-    def __hash__(self) -> int:
-        return hash((self.num, self.q, self.m, self.n, self.mu))
-
     @property
     def a(self) -> Fraction:
         return Fraction(self.num[0], self.q)

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
@@ -13,7 +14,6 @@ from cmint.bm import (
     _factor_table,
     _route_a,
     _route_b,
-    _split_ord,
     bm_full,
     bm_report,
     intersection_number,
@@ -21,12 +21,18 @@ from cmint.bm import (
     report_rows,
     support_primes,
 )
-from cmint.cmfield import CMFieldData, build_cm_field, classify_in_reflex_cm, rho
+from cmint.cmfield import (
+    CMFieldData,
+    _square_class_kind,
+    build_cm_field,
+    classify_in_reflex_cm,
+    rho,
+)
 from cmint.errors import InputError, InternalConsistencyError
 from cmint.localdensity import b_l_factors
 from cmint.numutil import factorize, is_prime, is_squarefree, ord_p, prime_factors, primes_up_to
-from cmint.padic import hensel_sqrt
-from cmint.quadfield import QuadElem, QuadField, ord_at, splitting
+from cmint.padic import hensel_sqrt, kronecker
+from cmint.quadfield import QuadElem, QuadField, ord_at, split_ord, splitting
 from cmint.selfcheck import (
     check_cyclotomic,
     check_route_agreement,
@@ -303,9 +309,9 @@ def test_route_a_walks_one_class_at_d(monkeypatch):
     real = bm._spot_exps
     checks = passed = 0
 
-    def counting(vec, field, n, m, l, vl, rows):
+    def counting(vec, n, m, l, vl, rows):
         nonlocal checks, passed
-        ok = real(vec, field, n, m, l, vl, rows)
+        ok = real(vec, n, m, l, vl, rows)
         if l == 13 and rows:  # the factor table's 13 has no rows: it is checked above
             checks += 1
             passed += ok
@@ -357,34 +363,71 @@ def test_route_a_matches_per_spot_scan_with_dyadic_different():
     assert checked == 72 and dyadic_terms >= 20
 
 
+def reference_split(x: int, y: int, den: int, spot) -> tuple[int, int, str]:
+    """(v of x + y√d, v of the element (x + y√d)/den, its square class) at a
+    split spot, from the image x + y·r mod l^k, r the lifted root of the spot."""
+    l, dt = spot.l, spot.disc
+    k = ord_p(x * x - y * y * dt, l) + 4  # past the image's valuation, with its unit mod 8
+    h = hensel_sqrt(dt, l, k)
+    r = h if (h - spot.label) % (4 if l == 2 else l) == 0 else l**k - h
+    img = (x + y * r) % l**k
+    e = ord_p(img, l)
+    v = e - ord_p(den, l)
+    u = img // l**e
+    if v % 2:
+        kind = "ramified"
+    elif l == 2:
+        kind = {1: "split", 5: "inert"}.get(u % 8, "ramified")
+    else:
+        kind = "split" if kronecker(u * den, l) == 1 else "inert"
+    return e, v, kind
+
+
 def test_split_ord_matches_ord_at():
+    # the label rule against the lifted embedding, at every split spot over
+    # l < 60 (2 included) of fields where 2 splits, with D̃ in each class mod
+    # 32 that 2 splitting allows, and of fields where it does not
     rng = random.Random(41)
-    checked = shared = zero_n = deep = 0
-    for dt in (5, 13, 17, 41, 145, 389, 409, 421):
+    checked, dyadic, half, shared, zero, deep, rest = 0, 0, 0, 0, 0, 0, 0
+    kinds = Counter()
+    for dt in (5, 13, 17, 41, 97, 145, 389, 409, 421):
         F = QuadField(dt)
-        for l in primes_up_to(101)[1:]:
+        for l in primes_up_to(60):
             spots = splitting(F, l)
             if spots[0].kind != "split":
                 continue
-            root = hensel_sqrt(dt, l, 3)
-            for _ in range(12):
-                m = rng.randint(1, 300) * l ** rng.randint(0, 2)
-                shape = rng.randrange(3)
-                if shape == 0:
-                    n = rng.randint(-300, 300) * l ** rng.randint(0, 3)
-                elif shape == 1:
-                    n = (m * root) % l**3 + l**3 * rng.randint(-5, 5)  # l³ | N
+            for _ in range(50):
+                g = rng.choice((0, 0, 1, 2))
+                y = rng.randint(-40, 40)
+                if rng.randrange(2):  # x + y√d deep in one spot over l
+                    j = rng.randint(1, 4)
+                    h = hensel_sqrt(dt, l, j + 1) % l**j
+                    x = -y * h % l**j + l**j * rng.randint(-3, 3)
                 else:
-                    n = 0
-                vl = ord_p(m * m * dt - n * n, l)
+                    x = rng.randint(-40, 40) if rng.randrange(8) else 0  # route A's n = 0
+                x, y = x * l**g, y * l**g
+                if x == y == 0:
+                    continue
+                den = 2 if (x - y) % 2 == 0 and rng.randrange(3) else 1
+                e = QuadElem(F, x, y, den)
+                vn = ord_p(e.x * e.x - e.y * e.y * dt, l)
                 for spot in spots:
-                    got = _split_ord(n, m, spot, vl, ord_p(m, l))
-                    assert got == ord_at(QuadElem(F, n, m, 1), spot), (dt, l, n, m, spot)
+                    v_num, v, kind = reference_split(e.x, e.y, e.den, spot)
+                    case = (dt, l, e, spot)
+                    assert split_ord(e.x, e.y, spot, vn) == v_num, case
+                    assert ord_at(e, spot) == v, case
+                    assert _square_class_kind(e, spot) == kind, case
                     checked += 1
-                shared += n % l == 0 and m % l == 0
-                zero_n += n == 0
-                deep += vl >= 3
-    assert checked >= 1000 and shared >= 50 and zero_n >= 20 and deep >= 50
+                    dyadic += l == 2
+                    half += e.den == 2
+                    shared += e.x % l == e.y % l == 0
+                    zero += e.x == 0
+                    deep += v_num >= 3
+                    rest += 2 * v_num > vn  # the unit comes from the other image
+                    kinds[kind] += 1
+    assert checked >= 5500 and dyadic >= 400 and half >= 800, (checked, dyadic, half)
+    assert shared >= 2800 and deep >= 1100 and rest >= 1500, (shared, deep, rest)
+    assert zero >= 300 and min(kinds.values()) >= 1700, (zero, kinds)
 
 
 def test_admissible_n_matches_filter():
@@ -506,7 +549,7 @@ def bm_helpers(fn):
 def test_route_helpers_stay_independent():
     # a route's loop moved into a helper stays under the same rule
     a = bm_helpers(bm._route_a)
-    assert {"_admissible_n", "_spot_exps", "_split_ord"} <= a.keys()
+    assert {"_admissible_n", "_spot_exps"} <= a.keys()
     for name, code in a.items():
         assert not code_names(code) & ROUTE_A_FORBIDDEN, name
     b = bm_helpers(bm._route_b)

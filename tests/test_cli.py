@@ -192,6 +192,9 @@ def foreign_content(kind: str, good: str, other: str) -> bytes:
         "p-as-bool": json.dumps({**obj, "entries": [[True, b, route_b, per_n]]}),
         "route-b-string": json.dumps({**obj, "entries": [[p, b, "inapplicable", per_n]]}),
         "per-n-odd-length": json.dumps({**obj, "entries": [[p, b, route_b, per_n[:-1]]]}),
+        "per-n-string": json.dumps({**obj, "entries": [[p, b, route_b, ["x", *per_n[1:]]]]}),
+        "per-n-bool": json.dumps({**obj, "entries": [[p, b, route_b, [*per_n[:-1], True]]]}),
+        "flag-not-string": json.dumps({**obj, "flags": [{"a": 1}]}),
     }
     return b"\xff" + good.encode() if kind == "not-utf8" else texts[kind].encode()
 
@@ -201,6 +204,7 @@ FOREIGN_KINDS = [
     "old-cache-row", "other-m", "m-as-float", "m-as-bool", "extra-delta-key",
     "entries-not-list", "entry-not-object", "entry-missing-key", "b-not-int",
     "row-wrong-length", "p-as-bool", "route-b-string", "per-n-odd-length",
+    "per-n-string", "per-n-bool", "flag-not-string",
 ]
 
 
@@ -294,6 +298,12 @@ def test_malformed_field_file(tmp_path, capsys):
     bad.write_text("{nope")
     assert cli.run(["bm", "--field", str(bad), "--m", "1"]) == 2
     assert json.loads(capsys.readouterr().err)["reason"] == "malformed-field-file"
+    # a D past `int`'s 4,300-digit limit, nesting past the recursion limit, not text
+    big = '{"D": %s, "delta": {"x": -13, "y": 1, "den": 2}}' % ("1" * 5000)
+    for raw in (big.encode(), b"[" * 100_000, b"\xff" + big.encode()):
+        bad.write_bytes(raw)
+        assert cli.run(["bm", "--field", str(bad), "--m", "1"]) == 2
+        assert json.loads(capsys.readouterr().err)["reason"] == "malformed-field-file"
     bad.write_text(json.dumps({"D": 5, "delta": {"x": -13, "y": True, "den": 2}}))
     assert cli.run(["bm", "--field", str(bad), "--m", "1"]) == 2
     assert json.loads(capsys.readouterr().err)["reason"] == "non-integer-field-data"
@@ -348,6 +358,20 @@ def test_bad_m_specification(tmp_path, cache_dir, capsys):
     assert cli.run(["bm", "--field", field, "--m", "x"]) == 2
     assert cli.run(["bm", "--field", field, "--m", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("spec", ["{big}", "1-{big}", "2,{big}-{big}"])
+@pytest.mark.parametrize("command", ["bm", "intersect"])
+def test_m_past_the_int_digit_limit_is_refused(tmp_path, cache_dir, capsys, command, spec):
+    # 5,000 digits is past `int`'s 4,300-digit limit, so no m of it is ever computed
+    field = write_field(tmp_path / "f.json")
+    text = spec.format(big="7" * 5000)
+    assert cli.run([command, "--field", field, "--m", text]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    err = json.loads(out.err)
+    assert err["error"] == "invalid-input" and err["detail"].startswith("bad m specification: '")
+    assert cache_files(cache_dir) == {}
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -326,8 +326,9 @@ def test_stored_field_hash_is_the_generated_one():
 
 def test_spot_table_proves_each_prime_once(monkeypatch):
     # each caller of `spot_kinds` has proved l prime already (the sieve, the
-    # factorization, the field's validation) and a split spot's roots come from
-    # its label, so building the table over l proves no odd prime again
+    # factorization, the field's validation) and a split spot's valuations and
+    # square classes come from its label, so building the table over l proves
+    # no prime again, 2 included
     calls = Counter()
     real = numutil.is_prime
 
@@ -342,14 +343,12 @@ def test_spot_table_proves_each_prime_once(monkeypatch):
     for mod in (cmfield, padic, quadfield):
         monkeypatch.setattr(mod, "is_prime", counting)
     for f in fields:
-        for cache in (spot_kinds, quadfield._root_for_spot):
-            cache.cache_clear()
+        spot_kinds.cache_clear()
         calls.clear()
         primes = sorted(set(primes_up_to(400)) | {f.D, f.dtilde})
         rows = [row for l in primes for row in spot_kinds(f, l)]
         assert sum(kind_f == "split" for _, _, kind_f, *_ in rows) >= 60
-        # a dyadic split spot's root still comes from hensel_sqrt, which proves 2
-        assert set(calls) <= {2}, sorted(calls)
+        assert not calls, sorted(calls)
 
 
 def test_public_readers_prove_the_prime():

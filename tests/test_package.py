@@ -23,7 +23,6 @@ from cmint import (
     TMatrix,
     bm_report,
     build_cm_field,
-    humbert_intersection,
 )
 from cmint import cli
 
@@ -46,12 +45,12 @@ def test_every_lru_cache_is_bounded():
     assert caches.keys() == {
         "cmint.cmfield._build_cached",
         "cmint.cmfield.spot_kinds",
-        "cmint.quadfield._root_for_spot",
         "cmint.bm._factor_table",
     }
     # their calls do not repeat within one command, so a memo would only keep
     # each result alive; `_splitting`'s one repeating caller is `spot_kinds`,
-    # the per-(field, l) table
+    # the per-(field, l) table, and `_root_for_spot`'s lifted roots gave way to
+    # the spots' labels
     for name in (
         "bm._route_a",
         "bm._route_b",
@@ -60,6 +59,7 @@ def test_every_lru_cache_is_bounded():
         "cmfield._dyadic_squares",
         "numutil.factorize",
         "padic.hensel_sqrt",
+        "quadfield._root_for_spot",
         "quadfield._splitting",
     ):
         assert f"cmint.{name}" not in caches
@@ -77,13 +77,10 @@ def test_every_lru_cache_is_hit_within_one_command(tmp_path, monkeypatch, capsys
         return caches[name].cache_info().hits
 
     f13 = build_cm_field(13, QuadElem(QuadField(13), -21, -2))
-    f5 = build_cm_field(5, QuadElem(QuadField(5), -13, 1, 2))
     # route A, the support primes and route B of one m share its factor table
     assert hits("cmint.bm._factor_table", lambda: bm_report(f13, 1)) >= 1
     # one m range asks for the same (field, l) spot tables again
     assert hits("cmint.cmfield.spot_kinds", lambda: [bm_report(f13, m) for m in range(1, 11)]) >= 1
-    # one humbert query lifts the same dyadic roots again
-    assert hits("cmint.quadfield._root_for_spot", lambda: humbert_intersection(f5, 29)) >= 1
     # a process that runs several commands on one field builds it once
     field = tmp_path / "f.json"
     field.write_text('{"D": 13, "delta": {"x": -21, "y": -2, "den": 1}, "mode": "strict"}')

@@ -4,16 +4,14 @@ import pytest
 
 from cmint.errors import InputError
 from cmint.numutil import primes_up_to
-from cmint.padic import hensel_sqrt, kronecker, val
+from cmint.padic import kronecker, val
 from cmint.quadfield import (
     PrimeSpot,
     QuadElem,
     QuadField,
-    _root_for_spot,
     elem_div_exact,
     elem_norm,
     ord_at,
-    spot_embed,
     splitting,
 )
 
@@ -88,30 +86,6 @@ def test_split_labels_are_roots():
     assert {s.label for s in spots5} == {1, 4}
     for s in spots5:
         assert (s.label * s.label - 41) % 5 == 0
-
-
-def test_root_for_spot_lifts_the_label():
-    # odd l: the root is the lift of the label, the canonical root or its negative
-    checked = 0
-    for disc in (5, 13, 41, 145, 389):
-        for l in primes_up_to(60)[1:]:
-            for s in splitting(QuadField(disc), l):
-                if s.kind != "split":
-                    continue
-                assert _root_for_spot(disc, l, s.label, 1) == s.label
-                for k in range(1, 6):
-                    r, h = _root_for_spot(disc, l, s.label, k), hensel_sqrt(disc, l, k)
-                    assert r == (h if h % l == s.label else l**k - h), (disc, l, k)
-                    assert (r * r - disc) % l**k == 0 and 0 < r < l**k
-                    checked += 1
-    assert checked >= 300
-
-
-def test_spot_embed_consistency():
-    e = QuadElem(F41, 3, 2, 1)
-    for s in splitting(F41, 5):
-        img = spot_embed(e, s, 4)
-        assert (img - (3 + 2 * s.label)) % 5 == 0
 
 
 def test_ord_at_split_spots():
