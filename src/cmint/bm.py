@@ -8,16 +8,15 @@ of (m²D̃ − n²)/(4D). Route (b) is the closed product formula over primes
 dividing (m²D̃ − n²)/(4D), valid for squarefree m coprime to 2DD̃p. Each route
 is one scan over n per m that yields every prime's value, and every scan walks
 only the residue classes of n with 4D | m²D̃ − n² (`_admissible_n`). The
-routes share only that range of n and the per-m factor table
-(`_factor_table`), which factors every (m²D̃ − n²)/div of one m with one
-sieve. Whenever route (b) applies, the two are compared and a mismatch is a
-hard error.
+routes share only that range of n and the m's factor table (`_factor_table`),
+which factors every (m²D̃ − n²)/4D with one sieve; `bm_report` builds it once
+per m and hands it to route (a), the support primes and route (b). Whenever
+route (b) applies, the two are compared and a mismatch is a hard error.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from math import gcd, isqrt
 
@@ -26,7 +25,7 @@ from .errors import InputError, InternalConsistencyError
 from .frozen import Frozen
 from .localdensity import b_l_factors
 from .logcombo import LogCombo
-from .numutil import factorize, is_prime, is_squarefree, ord_p, primes_up_to
+from .numutil import is_squarefree, ord_p, pollard_factorize, primes_up_to
 from .padic import _sqrt_mod_prime, kronecker
 from .quadfield import split_ord
 from .tmatrix import admissible_matrices
@@ -74,7 +73,6 @@ def _admissible_n(m2dt: int, div: int, lo: int, hi: int) -> list[int]:
 _SIEVE_LIMIT = 100_000  # the largest prime the sieve divides out, as in `factorize`
 
 
-@lru_cache(maxsize=2)
 def _factor_table(m2dt: int, div: int) -> dict[int, tuple[tuple[int, int], ...]]:
     """`factorize((m2dt − n²)/div)` for every admissible 0 <= n < √m2dt, by n.
 
@@ -83,10 +81,9 @@ def _factor_table(m2dt: int, div: int) -> dict[int, tuple[tuple[int, int], ...]]
     class n ≡ r (mod div) is one class of n // div mod l (CRT), so it is
     divided out along an arithmetic progression of the list. A prime l | div
     is tried on every value. Every prime up to the bound is divided out, so a
-    cofactor below (bound + 1)² is 1 or prime; a larger one goes to
-    `is_prime` and then `factorize`. The memo keeps the last two tables, so
-    the route A, support and route B scans of one m share them at both
-    divisors, and nothing is kept once later m have been scanned.
+    cofactor below (bound + 1)² is 1 or prime; a larger one needs the bound
+    at its limit, so it has no prime factor up to the limit and goes straight
+    to `pollard_factorize`.
     """
     ns = _admissible_n(m2dt, div, 0, isqrt(m2dt - 1))
     rest = [(m2dt - n * n) // div for n in ns]
@@ -124,18 +121,19 @@ def _factor_table(m2dt: int, div: int) -> dict[int, tuple[tuple[int, int], ...]]
                 facs[i].append((l, e))
     top = (bound + 1) ** 2
     for c, fac in zip(rest, facs):
-        if c > 1:
-            if c < top or is_prime(c):
-                fac.append((c, 1))
-            else:
-                fac.extend(factorize(c))
+        if c >= top:
+            fac.extend(pollard_factorize(c))
+        elif c > 1:
+            fac.append((c, 1))
     return dict(zip(ns, map(tuple, facs)))
 
 
 def _spot_exps(vec: list, n: int, m: int, l: int, vl: int, rows) -> bool:
     """Append (l, kind in K̃, exponent, e_𝔡, f) for each spot over l where t·𝔡,
     t = (n + m√D̃)/2D, has a nonzero exponent; False if one is negative. Needs
-    vl = v_l(m²D̃ − n²) and the rows of `spot_kinds(field, l)`."""
+    vl = v_l(m²D̃ − n²) and the rows of `spot_kinds(field, l)`. The two split
+    spots' valuations add up to vl, so the second is vl minus the first."""
+    v = None
     for spot, kind, kind_f, shift, rel, f, _ in rows:
         if not vl:
             v = 0
@@ -146,7 +144,7 @@ def _spot_exps(vec: list, n: int, m: int, l: int, vl: int, rows) -> bool:
                 raise InternalConsistencyError("odd norm valuation at an inert spot")
             v = vl // 2
         else:
-            v = split_ord(n, m, spot, vl)
+            v = split_ord(n, m, spot, vl) if v is None else vl - v
         exp = v + shift
         if exp < 0:
             return False
@@ -181,18 +179,19 @@ def _candidate_n(field: CMFieldData, m: int, table: dict) -> list[int]:
 
 
 def _route_a(
-    field: CMFieldData, m: int
+    field: CMFieldData, m: int, table: dict
 ) -> tuple[dict[int, list[tuple[int, int]]], tuple[str, ...], bool]:
     """One scan over signed n computing every prime's definitional terms.
 
     Returns each prime's (signed n, term) pairs in scan order, the flags, and
     whether a dyadic entry in the different relaxed membership at 2.
 
-    Membership comes first: only spots over the primes dividing 2D can carry
-    a negative exponent, so it is decided there from v_l(m²D̃ − n²) alone,
-    and the scan walks only the class of n that can pass at D
-    (`_candidate_n`). Only for the n that pass is every other prime read off
-    the factorization of (m²D̃ − n²)/div in the m's factor table.
+    `table` is the m's factor table at 4D; a dyadic different needs one at D,
+    which route A builds. Membership comes first: only spots over the primes
+    dividing 2D can carry a negative exponent, so it is decided there from
+    v_l(m²D̃ − n²) = v_l(table entry) + v_l(div) alone, and the scan walks only
+    the class of n that can pass at D (`_candidate_n`). Only for the n that
+    pass are the entry's other primes read.
     """
     D = field.D
     rel_primes = {s.l for s, _ in field.rel_diff}
@@ -200,27 +199,19 @@ def _route_a(
     # membership forces 4D | m²D̃ − n² while the different is odd; only
     # the D-part survives when a dyadic entry relaxes the constraint at 2
     div = D if dyadic_relaxed else 4 * D
-    # the primes of 2D and of the different: the only ones with a shift
-    fixed = [(l, spot_kinds(field, l)) for l in sorted({2, D} | rel_primes)]
-    rows_at = {l: () for l, _ in fixed}  # a factorization prime's rows; () if fixed
-    m2dt = m * m * field.dtilde
-    table = _factor_table(m2dt, div)
+    if dyadic_relaxed:
+        table = _factor_table(m * m * field.dtilde, div)
+    # the primes of 2D and of the different, the only ones with a shift, and v_l(div)
+    fixed = [(l, ord_p(div, l), spot_kinds(field, l)) for l in sorted({2, D} | rel_primes)]
     terms: dict[int, list[tuple[int, int]]] = {}
     neg, dual = set(), []  # |n| of the members n < 0; the n > 0 whose −n is one too
     for n in _candidate_n(field, m, table):
-        big_n = m2dt - n * n
+        vals = dict(table[abs(n)])
         vec = []
-        member = True
-        for l, rows in fixed:
-            if not _spot_exps(vec, n, m, l, ord_p(big_n, l), rows):
-                member = False
-                break
-        if not member:
+        if not all(_spot_exps(vec, n, m, l, vals.pop(l, 0) + vd, rows) for l, vd, rows in fixed):
             continue
-        for l, vl in table[abs(n)]:
-            if l not in rows_at:
-                rows_at[l] = spot_kinds(field, l)
-            _spot_exps(vec, n, m, l, vl, rows_at[l])
+        for l, vl in vals.items():
+            _spot_exps(vec, n, m, l, vl, spot_kinds(field, l))
         if n < 0:
             neg.add(-n)
         elif n in neg and n % D:
@@ -248,27 +239,29 @@ def _route_a(
     return terms, flags, dyadic_relaxed
 
 
+def _table_primes(table: dict) -> tuple[int, ...]:
+    """The primes of a factor table's entries, ascending."""
+    return tuple(sorted({p for fac in table.values() for p, _ in fac}))
+
+
 def support_primes(field: CMFieldData, m: int) -> tuple[int, ...]:
     """Primes dividing (m²D̃ − n²)/(4D) for some 0 <= n < m√D̃."""
     if m < 1:
         raise InputError("need m >= 1")
-    out: set[int] = set()
-    for fac in _factor_table(m * m * field.dtilde, 4 * field.D).values():
-        out.update(p for p, _ in fac)
-    return tuple(sorted(out))
+    return _table_primes(_factor_table(m * m * field.dtilde, 4 * field.D))
 
 
-def _route_b(field: CMFieldData, m: int) -> dict[int, int]:
+def _route_b(field: CMFieldData, m: int, table: dict) -> dict[int, int]:
     """One scan over n computing the product formula for every p ∤ m at once.
 
-    Needs m squarefree and coprime to 2DD̃. Every T contributes to each prime
-    p | quot through its local factor at l = p times the factors at the other
-    l | quot, so each factor is evaluated once per (T, l) as the pair
-    (value if l = p, value if l ≠ p). A p ∤ m missing from the result has
-    b_m(p) = 0.
+    Needs m squarefree and coprime to 2DD̃, and its factor table at 4D. Every
+    T contributes to each prime p | quot through its local factor at l = p
+    times the factors at the other l | quot, so each factor is evaluated once
+    per (T, l) as the pair (value if l = p, value if l ≠ p). A p ∤ m missing
+    from the result has b_m(p) = 0.
     """
     totals: dict[int, int] = {}
-    for n, fac in _factor_table(m * m * field.dtilde, 4 * field.D).items():
+    for n, fac in table.items():
         targets = [(p, e) for p, e in fac if m % p]
         if n == 0 or not targets:
             continue
@@ -291,13 +284,15 @@ def _route_b(field: CMFieldData, m: int) -> dict[int, int]:
 def bm_report(field: CMFieldData, m: int) -> BmReport:
     """Both routes for every support prime, cross-checked.
 
-    Not memoized, so a report the caller drops is freed; the CLI's cache
-    files are the report memo.
+    Not memoized, so a report the caller drops is freed, as is the m's one
+    factor table that both routes read; the CLI's cache files are the report
+    memo.
     """
     if m < 1:
         raise InputError("need m >= 1")
-    terms, flags, dyadic_relaxed = _route_a(field, m)
-    support = support_primes(field, m)
+    table = _factor_table(m * m * field.dtilde, 4 * field.D)
+    terms, flags, dyadic_relaxed = _route_a(field, m, table)
+    support = _table_primes(table)
     if not dyadic_relaxed:
         known = set(support)
         stray = sorted(p for p, ts in terms.items() if p not in known and sum(t for _, t in ts))
@@ -307,7 +302,7 @@ def bm_report(field: CMFieldData, m: int) -> BmReport:
             )
     # route B's guard: m squarefree and coprime to 2DD̃
     applies = is_squarefree(m) and gcd(m, 2 * field.D * field.dtilde) == 1
-    totals = _route_b(field, m) if applies else {}
+    totals = _route_b(field, m, table) if applies else {}
     entries = []
     for p in support:
         per_n = tuple(terms.get(p, ()))

@@ -129,21 +129,26 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1 and f * f > n:
         out[n] = out.get(n, 0) + 1  # no prime factor below f, so n is prime
     elif n > 1:
-        rng = None  # seeded on first use: most cofactors are prime
-        stack = [n]
-        while stack:
-            v = stack.pop()
-            if v == 1:
-                continue
-            if is_prime(v):
-                out[v] = out.get(v, 0) + 1
-            elif isqrt(v) ** 2 == v:
-                stack += [isqrt(v)] * 2
-            else:
-                if rng is None:
-                    rng = random.Random(0xC0FFEE ^ n)
-                d = _pollard_rho(v, rng)
-                stack += [d, v // d]
+        out.update(pollard_factorize(n))  # its primes are all above f
+    return tuple(sorted(out.items()))
+
+
+def pollard_factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """`factorize(n)` for n > 1 by `is_prime` and Pollard rho, with no trial division."""
+    out: dict[int, int] = {}
+    rng = None  # seeded on first use: most cofactors are prime
+    stack = [n]
+    while stack:
+        v = stack.pop()
+        if is_prime(v):
+            out[v] = out.get(v, 0) + 1
+        elif isqrt(v) ** 2 == v:
+            stack += [isqrt(v)] * 2
+        else:
+            if rng is None:
+                rng = random.Random(0xC0FFEE ^ n)
+            d = _pollard_rho(v, rng)
+            stack += [d, v // d]
     return tuple(sorted(out.items()))
 
 

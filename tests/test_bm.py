@@ -47,9 +47,15 @@ from cmint.tmatrix import admissible_matrices
 F5 = QuadField(5)
 
 
+def table_of(field, m):
+    """The m's factor table at div = 4D, as `bm_report` hands it to the routes."""
+    return _factor_table(m * m * field.dtilde, 4 * field.D)
+
+
 def test_worked_instance():
     # route A itself has nothing at a prime outside the support
-    assert _route_a(worked_field(), 1) == ({2: [(-1, 2)]}, (), False)
+    f = worked_field()
+    assert _route_a(f, 1, table_of(f, 1)) == ({2: [(-1, 2)]}, (), False)
 
 
 def test_report_rows_shape():
@@ -131,7 +137,7 @@ def test_one_pass_route_matches_per_prime_loop():
     for f, m in cases:
         if not is_squarefree(m) or gcd(m, 2 * f.D * f.dtilde) != 1:
             continue
-        totals = _route_b(f, m)
+        totals = _route_b(f, m, table_of(f, m))
         for p in support_primes(f, m) + (101,):
             if m % p == 0:
                 assert p not in totals
@@ -176,7 +182,7 @@ def test_nonzero_needs_support():
             sup = set(support_primes(f, m))
             coeffs = bm_full(f, m).as_dict()
             assert set(coeffs) <= sup
-            terms = _route_a(f, m)[0]
+            terms = _route_a(f, m, table_of(f, m))[0]
             for p in sorted(sup):
                 assert sum(t for _, t in terms.get(p, ())) == int(coeffs.get(p, 0))
 
@@ -274,7 +280,7 @@ def test_route_a_matches_per_spot_scan():
         split_at_d += splitting(f.reflex, f.D)[0].kind == "split"
         for m in range(1, 31):
             want = per_spot_route_a(f, m)
-            assert _route_a(f, m) == want, (f.D, f.delta, f.mode, m)
+            assert _route_a(f, m, table_of(f, m)) == want, (f.D, f.delta, f.mode, m)
             nonzero += bool(want[0])
             shared += shared_split_factors(f, m)
     assert split_at_d == 34 and nonzero >= 700 and shared >= 9000
@@ -294,7 +300,7 @@ def test_route_a_matches_per_spot_scan_with_the_different_moved_at_d():
         )
         for m in range(1, 13):
             want = per_spot_route_a(g, m)
-            assert _route_a(g, m) == want, (at_d, m)
+            assert _route_a(g, m, table_of(g, m)) == want, (at_d, m)
             if empty and m % f.D:
                 assert want[0] == {}
             nonzero += bool(want[0])
@@ -312,14 +318,14 @@ def test_route_a_walks_one_class_at_d(monkeypatch):
     def counting(vec, n, m, l, vl, rows):
         nonlocal checks, passed
         ok = real(vec, n, m, l, vl, rows)
-        if l == 13 and rows:  # the factor table's 13 has no rows: it is checked above
+        if l == 13:
             checks += 1
             passed += ok
         return ok
 
     monkeypatch.setattr(bm, "_spot_exps", counting)
     for m in range(1, 101):
-        _route_a(f, m)
+        _route_a(f, m, table_of(f, m))
     assert passed == 7662 and passed <= checks < 14771
 
 
@@ -331,7 +337,7 @@ def test_route_a_matches_per_spot_scan_on_the_benchmark_field():
         f = build_cm_field(13, QuadElem(QuadField(13), -21, y, 1))
         assert f.dtilde == 389 and splitting(f.reflex, 13)[0].kind == "split"
         for m in list(range(1, 101)) + [169, 338]:
-            assert _route_a(f, m) == per_spot_route_a(f, m), (y, m)
+            assert _route_a(f, m, table_of(f, m)) == per_spot_route_a(f, m), (y, m)
             shared += shared_split_factors(f, m)
     assert shared >= 500
 
@@ -357,7 +363,7 @@ def test_route_a_matches_per_spot_scan_with_dyadic_different():
                 for m in range(1, 13):
                     want = per_spot_route_a(g, m)
                     assert want[2]  # dyadic_relaxed
-                    assert _route_a(g, m) == want, (f.D, f.delta, spot, e, m)
+                    assert _route_a(g, m, table_of(g, m)) == want, (f.D, f.delta, spot, e, m)
                     checked += 1
                     dyadic_terms += len(want[0].get(2, ()))
     assert checked == 72 and dyadic_terms >= 20
@@ -467,14 +473,15 @@ def test_factor_table_matches_factorize():
 
 def test_factor_table_past_the_sieve_limit(monkeypatch):
     # the largest quotient exceeds 100,000², so the sieve stops at 100,000 and a
-    # cofactor with two larger prime factors goes to factorize; n = 0 has one
+    # cofactor with two larger prime factors goes straight to Pollard rho, with
+    # no second trial division by factorize; n = 0 has one
     p1, p2 = 100_003, 100_019
     div = 4 * 10_009
     m2dt = div * p1 * p2
     calls = []
-    monkeypatch.setattr(bm, "factorize", lambda n: calls.append(n) or factorize(n))
-    table = _factor_table.__wrapped__(m2dt, div)
-    assert table[0] == ((p1, 1), (p2, 1)) and p1 * p2 in calls
+    monkeypatch.setattr(numutil, "factorize", lambda n: calls.append(n) or factorize(n))
+    table = _factor_table(m2dt, div)
+    assert table[0] == ((p1, 1), (p2, 1)) and calls == []
     assert len(table) > 500
     for n, fac in table.items():
         assert [p for p, _ in fac] == sorted({p for p, _ in fac})
@@ -502,9 +509,7 @@ def test_reports_send_no_quotient_to_factorize(monkeypatch):
         seen.append(n)
         return factorize(n)
 
-    monkeypatch.setattr(bm, "factorize", recording)
     monkeypatch.setattr(numutil, "factorize", recording)
-    _factor_table.cache_clear()
     for m in ms:
         bm_report(f, m)
     assert seen and set(seen) <= set(ms)
@@ -514,6 +519,35 @@ def test_reports_send_no_quotient_to_factorize(monkeypatch):
         for n in _admissible_n(m * m * f.dtilde, 4 * f.D, 0, isqrt(m * m * f.dtilde - 1))
     } - set(ms)
     assert len(quotients) > 500 and not quotients & set(seen)
+
+
+def test_one_factor_table_per_report(monkeypatch):
+    # bm_report builds the m's table once for route A, the support primes and
+    # route B; route A builds a second, at div = D, only for a dyadic different
+    calls = []
+    real = bm._factor_table
+
+    def counting(m2dt, div):
+        calls.append(div)
+        return real(m2dt, div)
+
+    monkeypatch.setattr(bm, "_factor_table", counting)
+    f = build_cm_field(13, QuadElem(QuadField(13), -21, -2, 1))
+    assert f.dtilde == 389
+    for m in (1, 2, 7, 30):  # route B applies at 1 and 7
+        calls.clear()
+        bm_report(f, m)
+        assert calls == [4 * f.D], m
+    base = dyadic_bases()[0]
+    spot = splitting(base.reflex, 2)[0]
+    g = CMFieldData(
+        base.D, base.delta, base.w, base.dtilde, base.delta_tilde,
+        base.rel_diff + ((spot, 1),), base.w_k, base.mode,
+    )
+    for m in (2, 4):  # even m: route B, unaware of the hand-made entry, does not apply
+        calls.clear()
+        bm_report(g, m)
+        assert calls == [4 * g.D, g.D], m
 
 
 def code_names(code):
@@ -552,8 +586,9 @@ def test_route_helpers_stay_independent():
     assert {"_admissible_n", "_spot_exps"} <= a.keys()
     for name, code in a.items():
         assert not code_names(code) & ROUTE_A_FORBIDDEN, name
+    # route B reads the table it is handed, so it reaches no helper of cmint.bm
     b = bm_helpers(bm._route_b)
-    assert "_admissible_n" in b and "_route_a" not in b
+    assert "_route_a" not in b
     for name, code in b.items():
         assert not code_names(code) & ROUTE_B_FORBIDDEN, name
 
@@ -567,6 +602,6 @@ def test_routes_stay_independent():
 
 
 def test_route_a_prime_outside_the_support_is_an_error(monkeypatch):
-    monkeypatch.setattr(bm, "support_primes", lambda field, m: (3,))
+    monkeypatch.setattr(bm, "_table_primes", lambda table: (3,))
     with pytest.raises(InternalConsistencyError, match=r"support primes: \[2\]"):
         bm_report(worked_field(), 1)

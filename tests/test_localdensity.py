@@ -5,7 +5,7 @@ from math import gcd, isqrt, lcm
 import pytest
 
 from cmint import localdensity
-from cmint.bm import _route_b
+from cmint.bm import _factor_table, _route_b
 from cmint.cmfield import build_cm_field
 from cmint.errors import InputError, InternalConsistencyError
 from cmint.localdensity import b_l_factors
@@ -102,7 +102,7 @@ def test_route_b_alpha_matches_public_alpha(monkeypatch):
     for f in sweep_fields()[::5]:
         for m in range(1, 31):
             if is_squarefree(m) and gcd(m, 2 * f.D * f.dtilde) == 1:
-                _route_b(f, m)
+                _route_b(f, m, _factor_table(m * m * f.dtilde, 4 * f.D))
     monkeypatch.undo()
     for T, l, value in visited:
         assert value == alpha_l(T, l) == fraction_alpha(T, l), (T, l)

@@ -45,13 +45,13 @@ def test_every_lru_cache_is_bounded():
     assert caches.keys() == {
         "cmint.cmfield._build_cached",
         "cmint.cmfield.spot_kinds",
-        "cmint.bm._factor_table",
     }
     # their calls do not repeat within one command, so a memo would only keep
     # each result alive; `_splitting`'s one repeating caller is `spot_kinds`,
-    # the per-(field, l) table, and `_root_for_spot`'s lifted roots gave way to
-    # the spots' labels
+    # the per-(field, l) table, `_root_for_spot`'s lifted roots gave way to
+    # the spots' labels, and `bm_report` hands its one factor table to the scans
     for name in (
+        "bm._factor_table",
         "bm._route_a",
         "bm._route_b",
         "bm.support_primes",
@@ -77,8 +77,6 @@ def test_every_lru_cache_is_hit_within_one_command(tmp_path, monkeypatch, capsys
         return caches[name].cache_info().hits
 
     f13 = build_cm_field(13, QuadElem(QuadField(13), -21, -2))
-    # route A, the support primes and route B of one m share its factor table
-    assert hits("cmint.bm._factor_table", lambda: bm_report(f13, 1)) >= 1
     # one m range asks for the same (field, l) spot tables again
     assert hits("cmint.cmfield.spot_kinds", lambda: [bm_report(f13, m) for m in range(1, 11)]) >= 1
     # a process that runs several commands on one field builds it once
