@@ -25,7 +25,7 @@ from .errors import InputError, InternalConsistencyError
 from .frozen import Frozen
 from .localdensity import b_l_factors
 from .logcombo import LogCombo
-from .numutil import is_squarefree, ord_p, pollard_factorize, primes_up_to
+from .numutil import is_squarefree, pollard_factorize, primes_up_to
 from .padic import _sqrt_mod_prime, kronecker
 from .quadfield import split_ord
 from .tmatrix import admissible_matrices
@@ -161,8 +161,9 @@ def _candidate_n(field: CMFieldData, m: int, table: dict) -> list[int]:
 
     When D ∤ m and D splits in F̃, D | m²D̃ − n² puts n + m√D̃ in exactly one
     spot over D, the one whose label L has n ≡ −m·L (mod D), with valuation
-    ≥ 1 there and 0 at the other. A spot with a negative shift (−1) thus
-    needs n in its class: one such spot leaves that class, two leave no n.
+    ≥ 1 there and 0 at the other. The one spot over D outside the different
+    has a negative shift (−1), so n must lie in its class; were both outside,
+    as only a hand-built field has it, the check at D rejects that class too.
     Otherwise every admissible n is returned, to be checked one by one.
     """
     D = field.D
@@ -172,37 +173,29 @@ def _candidate_n(field: CMFieldData, m: int, table: dict) -> list[int]:
     neg = [label for _, _, kind_f, shift, _, _, label in rows if kind_f == "split" and shift < 0]
     if m % D == 0 or not neg:
         return ns
-    if len(neg) == 2:
-        return []
     c = -m * neg[0] % D
     return [n for n in ns if n % D == c]
 
 
 def _route_a(
     field: CMFieldData, m: int, table: dict
-) -> tuple[dict[int, list[tuple[int, int]]], tuple[str, ...], bool]:
+) -> tuple[dict[int, list[tuple[int, int]]], tuple[str, ...]]:
     """One scan over signed n computing every prime's definitional terms.
 
-    Returns each prime's (signed n, term) pairs in scan order, the flags, and
-    whether a dyadic entry in the different relaxed membership at 2.
+    Returns each prime's (signed n, term) pairs in scan order, and the flags.
 
-    `table` is the m's factor table at 4D; a dyadic different needs one at D,
-    which route A builds. Membership comes first: only spots over the primes
-    dividing 2D can carry a negative exponent, so it is decided there from
-    v_l(m²D̃ − n²) = v_l(table entry) + v_l(div) alone, and the scan walks only
-    the class of n that can pass at D (`_candidate_n`). Only for the n that
-    pass are the entry's other primes read.
+    `table` is the m's factor table at 4D. The relative different lies over D
+    (`cmfield._relative_different`), so membership forces 4D | m²D̃ − n², and a
+    field with a spot of the different elsewhere is refused. Membership comes
+    first: only spots over 2 and D can carry a negative exponent, so it is
+    decided there from v_l(m²D̃ − n²) = v_l(table entry) + v_l(4D) alone, and
+    the scan walks only the class of n that can pass at D (`_candidate_n`).
+    Only for the n that pass are the entry's other primes read.
     """
     D = field.D
-    rel_primes = {s.l for s, _ in field.rel_diff}
-    dyadic_relaxed = 2 in rel_primes
-    # membership forces 4D | m²D̃ − n² while the different is odd; only
-    # the D-part survives when a dyadic entry relaxes the constraint at 2
-    div = D if dyadic_relaxed else 4 * D
-    if dyadic_relaxed:
-        table = _factor_table(m * m * field.dtilde, div)
-    # the primes of 2D and of the different, the only ones with a shift, and v_l(div)
-    fixed = [(l, ord_p(div, l), spot_kinds(field, l)) for l in sorted({2, D} | rel_primes)]
+    if any(s.l != D for s, _ in field.rel_diff):
+        raise InputError("the relative different must lie over D")
+    fixed = ((2, 2, spot_kinds(field, 2)), (D, 1, spot_kinds(field, D)))  # l, v_l(4D), rows
     terms: dict[int, list[tuple[int, int]]] = {}
     neg, dual = set(), []  # |n| of the members n < 0; the n > 0 whose −n is one too
     for n in _candidate_n(field, m, table):
@@ -236,7 +229,7 @@ def _route_a(
                 continue
             terms.setdefault(p, []).append((n, (exp - rel + 1) * split_prod * f))
     flags = tuple(f"dual-membership:|n|={k}" for k in dual)
-    return terms, flags, dyadic_relaxed
+    return terms, flags
 
 
 def _table_primes(table: dict) -> tuple[int, ...]:
@@ -284,6 +277,9 @@ def _route_b(field: CMFieldData, m: int, table: dict) -> dict[int, int]:
 def bm_report(field: CMFieldData, m: int) -> BmReport:
     """Both routes for every support prime, cross-checked.
 
+    Route (a) reads the same table at 4D, so a nonzero term at a prime outside
+    the support is an internal error.
+
     Not memoized, so a report the caller drops is freed, as is the m's one
     factor table that both routes read; the CLI's cache files are the report
     memo.
@@ -291,15 +287,12 @@ def bm_report(field: CMFieldData, m: int) -> BmReport:
     if m < 1:
         raise InputError("need m >= 1")
     table = _factor_table(m * m * field.dtilde, 4 * field.D)
-    terms, flags, dyadic_relaxed = _route_a(field, m, table)
+    terms, flags = _route_a(field, m, table)
     support = _table_primes(table)
-    if not dyadic_relaxed:
-        known = set(support)
-        stray = sorted(p for p, ts in terms.items() if p not in known and sum(t for _, t in ts))
-        if stray:
-            raise InternalConsistencyError(
-                f"nonzero multiplicity outside the support primes: {stray}"
-            )
+    known = set(support)
+    stray = sorted(p for p, ts in terms.items() if p not in known and sum(t for _, t in ts))
+    if stray:
+        raise InternalConsistencyError(f"nonzero multiplicity outside the support primes: {stray}")
     # route B's guard: m squarefree and coprime to 2DD̃
     applies = is_squarefree(m) and gcd(m, 2 * field.D * field.dtilde) == 1
     totals = _route_b(field, m, table) if applies else {}

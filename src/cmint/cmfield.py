@@ -8,6 +8,9 @@ Everything downstream only ever consults the reflex side.
 A spot's kind in K̃ (split, inert or ramified) depends only on the field, so
 it is decided once per (field, l) in the bounded table `spot_kinds`, which
 `classify_in_reflex_cm`, ρ and both routes for b_m(p) read.
+
+A validated field's relative different of K̃/F̃ is one spot over D, with
+exponent 1 (`_relative_different`), so 2 never ramifies in K̃/F̃.
 """
 
 from __future__ import annotations
@@ -152,7 +155,15 @@ def _square_class_kind(elem: QuadElem, spot: PrimeSpot) -> str:
     return "split" if kronecker(x0 * elem.den, l) == 1 else "inert"
 
 
-def _relative_different(delta_tilde: QuadElem, mode: str) -> tuple[tuple[PrimeSpot, int], ...]:
+def _relative_different(delta_tilde: QuadElem, D: int) -> tuple[tuple[PrimeSpot, int], ...]:
+    """The relative different of K̃/F̃: one spot of F̃ over D, with exponent 1.
+
+    Validation makes O_K = O_F[(w + √Δ)/2] with D̃ squarefree: d_K = D²·D̃. K and
+    K̃ share one 2-dimensional representation ρ of their Galois closure, so
+    d_K = D·f(ρ) and d_K̃ = D̃·f(ρ) (conductor–discriminant formula), and
+    N(𝔡) = d_K̃/D̃² = D. A ramified spot over any other l, 2 included, is an
+    internal error.
+    """
     Ft = delta_tilde.field
     nrm = int(elem_norm(delta_tilde))
     out = []
@@ -160,15 +171,9 @@ def _relative_different(delta_tilde: QuadElem, mode: str) -> tuple[tuple[PrimeSp
         for spot in _splitting(Ft.disc, l):
             if _square_class_kind(delta_tilde, spot) != "ramified":
                 continue
-            if l == 2:
-                if mode == "strict":
-                    raise FieldRejected(
-                        "dyadic-ramification",
-                        "the relative different has a dyadic entry; outside the strict hypotheses",
-                    )
-                out.append((spot, 3 if ord_at(delta_tilde, spot) % 2 else 2))
-            else:
-                out.append((spot, 1))
+            if l != D:
+                raise InternalConsistencyError(f"the different has a spot over {l}, not D = {D}")
+            out.append((spot, 1))
     return tuple(out)
 
 
@@ -200,7 +205,7 @@ def _build_cached(D: int, x: int, y: int, den: int, mode: str) -> CMFieldData:
     if two_d0.denominator != 1:
         raise InternalConsistencyError("2Δ₀ must be integral")
     delta_tilde = QuadElem(reflex, int(two_d0), 2, 1)
-    rel = _relative_different(delta_tilde, mode)
+    rel = _relative_different(delta_tilde, D)
     w_k = 10 if (D == 5 and dt == 5) else 2
     return CMFieldData(D, delta, w, dt, delta_tilde, rel, w_k, mode)
 
@@ -226,9 +231,9 @@ def spot_kinds(field: CMFieldData, l: int) -> tuple[tuple, ...]:
     Over an odd l ∤ norm(Δ̃) that splits in F̃, only the first spot's kind
     is computed; the second follows from it and (norm(Δ̃) | l).
 
-    e_𝔡 is the exponent of the relative different at the spot and
-    shift = e_𝔡 − v_l(2D)·e, the exponent of 𝔡⁻¹ minus that of 2D; it is
-    negative only over the primes dividing 2D.
+    e_𝔡 is the exponent of the relative different at the spot, 1 at its one
+    spot over D and 0 elsewhere, and shift = e_𝔡 − v_l(2D)·e, the exponent of
+    𝔡⁻¹ minus that of 2D; it is negative only over 2 and D.
 
     l is not proved prime here: every caller passes a prime already proved,
     namely 2, the validated D, the primes of `prime_factors` and those of a

@@ -55,7 +55,7 @@ def table_of(field, m):
 def test_worked_instance():
     # route A itself has nothing at a prime outside the support
     f = worked_field()
-    assert _route_a(f, 1, table_of(f, 1)) == ({2: [(-1, 2)]}, (), False)
+    assert _route_a(f, 1, table_of(f, 1)) == ({2: [(-1, 2)]}, ())
 
 
 def test_report_rows_shape():
@@ -208,24 +208,22 @@ def test_permissive_field_values():
 def per_spot_route_a(field, m):
     """Route A spot by spot: every signed n, ord_at at every spot, cmfield.rho.
 
-    Returns what `_route_a` does: each prime's (n, term) pairs in scan order,
-    the flags and whether membership at 2 is relaxed.
+    Returns what `_route_a` does: each prime's (n, term) pairs in scan order
+    and the flags.
     """
     D, Ft = field.D, field.reflex
     rel = dict(field.rel_diff)
-    rel_primes = {s.l for s in rel}
-    dyadic_relaxed = 2 in rel_primes
     m2dt = m * m * field.dtilde
     nmax = isqrt(m2dt - 1)
     terms, passing = {}, {}
     for n in range(-nmax, nmax + 1):
         big_n = m2dt - n * n
-        if big_n % (D if dyadic_relaxed else 4 * D):
+        if big_n % (4 * D):
             continue
         e = QuadElem(Ft, n, m, 1)
         vec = {}
         ok = True
-        for l in sorted(set(prime_factors(big_n)) | {2, D} | rel_primes):
+        for l in sorted(set(prime_factors(big_n)) | {2, D}):
             for spot in splitting(Ft, l):
                 exp = ord_at(e, spot) - ord_p(2 * D, l) * spot.e + rel.get(spot, 0)
                 if exp < 0:
@@ -251,7 +249,7 @@ def per_spot_route_a(field, m):
     flags = tuple(
         f"dual-membership:|n|={k}" for k in sorted(passing) if k % D and len(passing[k]) == 2
     )
-    return terms, flags, dyadic_relaxed
+    return terms, flags
 
 
 def shared_split_factors(field, m):
@@ -347,26 +345,18 @@ def dyadic_bases():
     return [next(f for f in sweep_fields() if f.dtilde % 8 == r) for r in (1, 5)]
 
 
-def test_route_a_matches_per_spot_scan_with_dyadic_different():
-    # no enumerated field has a dyadic entry in its different, so one is added by
-    # hand: route A then keeps every n with D | m²D̃ − n² and reads v_2 from the
-    # exponents of N/D
-    bases = dyadic_bases()
-    checked = dyadic_terms = 0
-    for f in bases:
+def test_different_off_d_is_refused():
+    # the different of a built field lies over D; a hand-built one with a spot
+    # over 2 is refused rather than scanned with membership at 4D
+    for f in dyadic_bases():
         for spot in splitting(f.reflex, 2):
-            for e in (1, 2):
-                g = CMFieldData(
-                    f.D, f.delta, f.w, f.dtilde, f.delta_tilde,
-                    f.rel_diff + ((spot, e),), f.w_k, f.mode,
-                )
-                for m in range(1, 13):
-                    want = per_spot_route_a(g, m)
-                    assert want[2]  # dyadic_relaxed
-                    assert _route_a(g, m, table_of(g, m)) == want, (f.D, f.delta, spot, e, m)
-                    checked += 1
-                    dyadic_terms += len(want[0].get(2, ()))
-    assert checked == 72 and dyadic_terms >= 20
+            g = CMFieldData(
+                f.D, f.delta, f.w, f.dtilde, f.delta_tilde,
+                f.rel_diff + ((spot, 1),), f.w_k, f.mode,
+            )
+            for m in (1, 2):
+                with pytest.raises(InputError, match="must lie over D"):
+                    bm_report(g, m)
 
 
 def reference_split(x: int, y: int, den: int, spot) -> tuple[int, int, str]:
@@ -456,9 +446,9 @@ def assert_table_is_factorize(m2dt, div):
 
 
 def test_factor_table_matches_factorize():
-    # both divisors route A can use, on the benchmark field (D̃ = 389, so the
-    # sieve meets l | m²D̃ at l | m and l = 389) and on the fields of the
-    # dyadic-different test, whose route A reads the table at div = D
+    # div = 4D, as the routes read it, and div = D, on the benchmark field
+    # (D̃ = 389, so the sieve meets l | m²D̃ at l | m and l = 389) and on a field
+    # where 2 splits in F̃ and one where it is inert
     checked = 0
     f = build_cm_field(13, QuadElem(QuadField(13), -21, -2, 1))
     for m in range(1, 301):
@@ -523,7 +513,7 @@ def test_reports_send_no_quotient_to_factorize(monkeypatch):
 
 def test_one_factor_table_per_report(monkeypatch):
     # bm_report builds the m's table once for route A, the support primes and
-    # route B; route A builds a second, at div = D, only for a dyadic different
+    # route B, and route A builds none of its own
     calls = []
     real = bm._factor_table
 
@@ -538,16 +528,6 @@ def test_one_factor_table_per_report(monkeypatch):
         calls.clear()
         bm_report(f, m)
         assert calls == [4 * f.D], m
-    base = dyadic_bases()[0]
-    spot = splitting(base.reflex, 2)[0]
-    g = CMFieldData(
-        base.D, base.delta, base.w, base.dtilde, base.delta_tilde,
-        base.rel_diff + ((spot, 1),), base.w_k, base.mode,
-    )
-    for m in (2, 4):  # even m: route B, unaware of the hand-made entry, does not apply
-        calls.clear()
-        bm_report(g, m)
-        assert calls == [4 * g.D, g.D], m
 
 
 def code_names(code):
@@ -581,9 +561,10 @@ def bm_helpers(fn):
 
 
 def test_route_helpers_stay_independent():
-    # a route's loop moved into a helper stays under the same rule
+    # a route's loop moved into a helper stays under the same rule; route A
+    # reads the table it is handed, so it reaches no `_admissible_n`
     a = bm_helpers(bm._route_a)
-    assert {"_admissible_n", "_spot_exps"} <= a.keys()
+    assert a.keys() == {"_candidate_n", "_spot_exps"}
     for name, code in a.items():
         assert not code_names(code) & ROUTE_A_FORBIDDEN, name
     # route B reads the table it is handed, so it reaches no helper of cmint.bm

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from math import isqrt
 
 import pytest
 
@@ -12,7 +13,7 @@ from cmint.cmfield import (
     rho,
     spot_kinds,
 )
-from cmint.errors import FieldRejected, InputError
+from cmint.errors import FieldRejected, InputError, InternalConsistencyError
 from cmint.numutil import ord_p, prime_factors, primes_up_to
 from cmint.quadfield import (
     PrimeSpot,
@@ -212,6 +213,55 @@ def test_different_has_norm_D_in_strict_mode():
         f = build_cm_field(D, QuadElem(QuadField(D), dx, dy, dden))
         ((spot, exp),) = f.rel_diff
         assert spot.l == D and exp == 1 and spot.f == 1
+
+
+def test_relative_different_lies_over_d():
+    # d_K = D²·D̃ and the conductor–discriminant formula give N(𝔡) = D: one spot
+    # over D with exponent 1, so 2 never ramifies in K̃/F̃; D ramifies in F̃
+    # exactly when D | D̃
+    rng = random.Random(23)
+    ds = [p for p in primes_up_to(2000) if p % 4 == 1]
+    fields = [
+        cyclotomic_field(),
+        build_cm_field(5, QuadElem(F5, -25, -3, 2), mode="permissive"),
+        build_cm_field(17, QuadElem(QuadField(17), -17, -2), mode="permissive"),
+    ]
+    assert [f.dtilde for f in fields] == [5, 145, 221]
+    for _ in range(20_000):
+        D = rng.choice(ds)
+        y = rng.randint(-40, 40)
+        den = rng.choice((1, 2))
+        x = -(isqrt(y * y * D) + rng.randint(1, 200))
+        if den == 2 and (x - y) % 2:
+            x -= 1
+        mode = rng.choice(("strict", "permissive"))
+        try:
+            fields.append(build_cm_field(D, QuadElem(QuadField(D), x, y, den), mode))
+        except FieldRejected:
+            continue
+    modes = Counter(f.mode for f in fields)
+    assert len(fields) > 1000 and modes["strict"] > 200, modes
+    ramified = 0
+    for f in fields:
+        ((spot, exp),) = f.rel_diff
+        assert spot.l == f.D and exp == 1, (f.D, f.delta, f.mode)
+        assert spot.kind == ("ramified" if f.dtilde % f.D == 0 else "split"), (f.D, f.delta)
+        ramified += spot.kind == "ramified"
+    assert ramified >= 5
+
+
+def test_dyadic_different_is_an_internal_error(monkeypatch):
+    # a ramified spot over 2 contradicts N(𝔡) = D, so validation cannot meet one
+    real = cmfield._square_class_kind
+
+    def dyadic_ramified(elem, spot):
+        return "ramified" if spot.l == 2 else real(elem, spot)
+
+    monkeypatch.setattr(cmfield, "_square_class_kind", dyadic_ramified)
+    cmfield._build_cached.cache_clear()
+    for mode in ("strict", "permissive"):
+        with pytest.raises(InternalConsistencyError, match="spot over 2"):
+            build_cm_field(5, QuadElem(F5, -13, 1, 2), mode)
 
 
 def test_inert_kind_is_the_norm_criterion():
