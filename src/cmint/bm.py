@@ -59,9 +59,25 @@ class BmReport(Frozen):
 def _admissible_n(m2dt: int, div: int, lo: int, hi: int) -> list[int]:
     """The n in [lo, hi], ascending, with div | m2dt − n².
 
-    Steps through the roots of n² ≡ m2dt (mod div).
+    Steps through the roots of n² ≡ m2dt (mod div). div = 2^k·q with k <= 2 and
+    q 1 or an odd prime, as every caller's 4D is: the roots mod 2^k come from a
+    scan of at most 4 residues, those mod q from `kronecker` and
+    `_sqrt_mod_prime`, and CRT joins them, in ascending order.
     """
-    roots = [r for r in range(div) if (m2dt - r * r) % div == 0]
+    two = div & -div
+    q = div // two
+    roots = [r for r in range(two) if (m2dt - r * r) % two == 0]
+    if q > 1:
+        a = m2dt % q
+        if a == 0:
+            odd = (0,)
+        elif kronecker(a, q) == 1:
+            s = _sqrt_mod_prime(a, q)
+            odd = (s, q - s)
+        else:
+            odd = ()
+        inv = pow(two, -1, q)
+        roots = sorted(r + two * ((s - r) * inv % q) for r in roots for s in odd)
     return [
         n
         for base in range(lo - lo % div, hi + 1, div)

@@ -112,11 +112,15 @@ def _report_rows(field: CMFieldData, ms: Iterable[int], use_cache: bool) -> Iter
         yield rows
 
 
-def _print_json(payload: dict, field: CMFieldData | None = None) -> None:
-    """Print a command's JSON; one about a permissive `field` is marked conjectural."""
+def _json_text(payload: dict, field: CMFieldData | None) -> str:
+    """A command's JSON; one about a permissive `field` is marked conjectural."""
     if field is not None and field.mode == "permissive":
         payload["conjectural"] = True
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _print_json(payload: dict, field: CMFieldData | None = None) -> None:
+    print(_json_text(payload, field))
 
 
 def _write_csv(field: CMFieldData, columns: tuple[str, ...], rows) -> None:
@@ -143,7 +147,17 @@ def _cmd_bm(args) -> int:
         ]
         _write_csv(field, ("p", "b", "route_a", "route_b"), rows)
     else:
-        _print_json({"reports": [report_json_obj(rep) for rep in reports]}, field)
+        # each report is held as its text, indented as it sits in the document, not
+        # as a dict, and all are built before the first is printed; the document
+        # around them is that of one stand-in report, whose line they take
+        texts = []
+        for rep in reports:
+            text = json.dumps(report_json_obj(rep), indent=2, sort_keys=True)
+            texts.append("    " + text.replace("\n", "\n    "))
+        head, tail = _json_text({"reports": [0]}, field).split("\n    0\n")
+        print(head)
+        print(*texts, sep=",\n")
+        print(tail)
     return 0
 
 

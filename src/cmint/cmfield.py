@@ -28,7 +28,6 @@ from .quadfield import (
     QuadField,
     _need_prime,
     _splitting,
-    elem_div_exact,
     elem_norm,
     ord_at,
     split_ord,
@@ -37,21 +36,20 @@ from .quadfield import (
 
 
 class CMFieldData(Frozen):
-    _fields = ("D", "delta", "w", "dtilde", "delta_tilde", "rel_diff", "w_k", "mode")
+    _fields = ("D", "delta", "dtilde", "delta_tilde", "rel_diff", "w_k", "mode")
     __slots__ = _fields + ("_hash",)
 
     def __init__(
         self,
         D: int,
         delta: QuadElem,
-        w: QuadElem,
         dtilde: int,
         delta_tilde: QuadElem,
         rel_diff: tuple[tuple[PrimeSpot, int], ...],
         w_k: int,
         mode: str,
     ):
-        values = (D, delta, w, dtilde, delta_tilde, rel_diff, w_k, mode)
+        values = (D, delta, dtilde, delta_tilde, rel_diff, w_k, mode)
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
         # the field keys every per-field table, so its recursive hash is taken once
@@ -61,27 +59,12 @@ class CMFieldData(Frozen):
         return self._hash
 
     @property
-    def base(self) -> QuadField:
-        return self.delta.field
-
-    @property
     def reflex(self) -> QuadField:
         return self.delta_tilde.field
 
 
 def _totally_negative(e: QuadElem) -> bool:
     return e.x < 0 and e.x * e.x > e.y * e.y * e.field.disc
-
-
-def _find_w(delta: QuadElem) -> QuadElem | None:
-    """First w = a + b·(1+√D)/2 (a, b in 0..3) with (w² − Δ)/4 integral."""
-    F = delta.field
-    for a in range(4):
-        for b in range(4):
-            w = QuadElem(F, 2 * a + b, b, 2)
-            if elem_div_exact(w * w - delta, 4) is not None:
-                return w
-    return None
 
 
 def _dyadic_squares(disc: int, modulus: int) -> frozenset[tuple[int, int]]:
@@ -95,7 +78,7 @@ def _dyadic_squares(disc: int, modulus: int) -> frozenset[tuple[int, int]]:
 
 
 def _omega_unit_coords(elem: QuadElem, v: int) -> tuple[int, int]:
-    """Coordinates of elem/2^v on {1, ω} at an inert dyadic spot."""
+    """Coordinates of elem/2^v on {1, ω}, ω = (1+√disc)/2; 2^v must divide elem."""
     if elem.den == 1:
         A, B = elem.x - elem.y, 2 * elem.y
     else:
@@ -198,8 +181,10 @@ def _build_cached(D: int, x: int, y: int, den: int, mode: str) -> CMFieldData:
         raise FieldRejected("norm-not-squarefree", f"norm(Δ) = {dt}") from None
     if mode == "strict" and not is_prime(dt):
         raise FieldRejected("norm-not-prime", f"norm(Δ) = {dt} and mode is strict")
-    w = _find_w(delta)
-    if w is None:
+    # O_K = O_F[(w + √Δ)/2] needs w ∈ O_F with w² ≡ Δ mod 4·O_F: Δ mod 4 on {1, ω}
+    # must be a square of O_F/4
+    A, B = _omega_unit_coords(delta, 0)
+    if (A % 4, B % 4) not in _dyadic_squares(D, 4):
         raise FieldRejected("order-not-free", "no w with w² ≡ Δ mod 4·O_F")
     two_d0 = 2 * Fraction(x, den)
     if two_d0.denominator != 1:
@@ -207,7 +192,7 @@ def _build_cached(D: int, x: int, y: int, den: int, mode: str) -> CMFieldData:
     delta_tilde = QuadElem(reflex, int(two_d0), 2, 1)
     rel = _relative_different(delta_tilde, D)
     w_k = 10 if (D == 5 and dt == 5) else 2
-    return CMFieldData(D, delta, w, dt, delta_tilde, rel, w_k, mode)
+    return CMFieldData(D, delta, dt, delta_tilde, rel, w_k, mode)
 
 
 def build_cm_field(D: int, delta: QuadElem, mode: str = "strict") -> CMFieldData:

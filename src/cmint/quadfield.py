@@ -29,7 +29,8 @@ class QuadElem(Frozen):
     """(x + y√d)/den with den ∈ {1, 2}; always lies in the maximal order.
 
     den = 2 requires x ≡ y mod 2; representations with both coordinates even
-    are reduced to den = 1 on construction.
+    are reduced to den = 1 on construction. A validated value with no
+    arithmetic: callers work on its integer coordinates.
     """
 
     __slots__ = _fields = ("field", "x", "y", "den")
@@ -50,67 +51,10 @@ class QuadElem(Frozen):
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
-    def conj(self) -> "QuadElem":
-        return QuadElem(self.field, self.x, -self.y, self.den)
-
-    def __neg__(self) -> "QuadElem":
-        return QuadElem(self.field, -self.x, -self.y, self.den)
-
-    def __add__(self, other: "QuadElem") -> "QuadElem":
-        if self.field != other.field:
-            raise InputError("cannot add elements of different fields")
-        if self.den == other.den:
-            return QuadElem(self.field, self.x + other.x, self.y + other.y, self.den)
-        a, b = (self, other) if self.den == 2 else (other, self)
-        return QuadElem(self.field, a.x + 2 * b.x, a.y + 2 * b.y, 2)
-
-    def __sub__(self, other: "QuadElem") -> "QuadElem":
-        return self + (-other)
-
-    def __mul__(self, other: "QuadElem") -> "QuadElem":
-        if self.field != other.field:
-            raise InputError("cannot multiply elements of different fields")
-        d = self.field.disc
-        x = self.x * other.x + self.y * other.y * d
-        y = self.x * other.y + self.y * other.x
-        den = self.den * other.den
-        while den > 1 and x % 2 == 0 and y % 2 == 0:
-            x //= 2
-            y //= 2
-            den //= 2
-        if den == 4:
-            raise InternalConsistencyError("product left the maximal order")
-        return QuadElem(self.field, x, y, den)
-
 
 def elem_norm(e: QuadElem) -> Fraction:
     """Field norm x² − y²·d over den²."""
     return Fraction(e.x * e.x - e.y * e.y * e.field.disc, e.den * e.den)
-
-
-def elem_div_exact(e: QuadElem, k: int) -> QuadElem | None:
-    """e/k when it lies in the maximal order, else None."""
-    if k == 0:
-        raise InputError("division by zero")
-    if k < 0:
-        return elem_div_exact(-e, -k)
-    x, y, den = e.x, e.y, e.den * k
-    while den % 2 == 0 and x % 2 == 0 and y % 2 == 0:
-        x //= 2
-        y //= 2
-        den //= 2
-    odd = den >> (den & -den).bit_length() - 1
-    if odd > 1:
-        if x % odd or y % odd:
-            return None
-        x //= odd
-        y //= odd
-        den //= odd
-    if den == 1:
-        return QuadElem(e.field, x, y, 1)
-    if den == 2 and (x - y) % 2 == 0:
-        return QuadElem(e.field, x, y, 2)
-    return None
 
 
 class PrimeSpot(Frozen):

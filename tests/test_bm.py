@@ -293,9 +293,7 @@ def test_route_a_matches_per_spot_scan_with_the_different_moved_at_d():
     rest = tuple((s, e) for s, e in f.rel_diff if s.l != f.D)
     nonzero = 0
     for at_d, empty in ((((spots[0], 1), (spots[1], 1)), False), ((), True)):
-        g = CMFieldData(
-            f.D, f.delta, f.w, f.dtilde, f.delta_tilde, rest + at_d, f.w_k, f.mode
-        )
+        g = CMFieldData(f.D, f.delta, f.dtilde, f.delta_tilde, rest + at_d, f.w_k, f.mode)
         for m in range(1, 13):
             want = per_spot_route_a(g, m)
             assert _route_a(g, m, table_of(g, m)) == want, (at_d, m)
@@ -351,7 +349,7 @@ def test_different_off_d_is_refused():
     for f in dyadic_bases():
         for spot in splitting(f.reflex, 2):
             g = CMFieldData(
-                f.D, f.delta, f.w, f.dtilde, f.delta_tilde,
+                f.D, f.delta, f.dtilde, f.delta_tilde,
                 f.rel_diff + ((spot, 1),), f.w_k, f.mode,
             )
             for m in (1, 2):
@@ -427,14 +425,25 @@ def test_split_ord_matches_ord_at():
 
 
 def test_admissible_n_matches_filter():
+    # div = 2^k·q, k <= 2 and q 1 or an odd prime: the roots mod q come from a
+    # square root, not a scan, so a 13-digit q costs no more than a small one
     rng = random.Random(43)
+    big = (4 * 1_000_033, 4 * 1_000_000_000_061)
     for _ in range(400):
-        div = rng.choice((1, 2, 5, 13, 20, 52, 68, 4 * 389, 4 * 1009))
+        div = rng.choice((1, 2, 5, 13, 20, 52, 68, 4 * 389, 4 * 1009, *big))
         m2dt = rng.randint(1, 10**7)
+        if div in big and rng.random() < 0.75:
+            # plant a root n in -3000..9000, where the windows lie
+            m2dt = rng.randint(-3000, 9000) ** 2 + div * rng.randint(1, 10**6)
         lo = rng.randint(-3000, 3000)
         hi = lo + rng.randint(-2, 6000)
         want = [n for n in range(lo, hi + 1) if (m2dt - n * n) % div == 0]
         assert _admissible_n(m2dt, div, lo, hi) == want, (m2dt, div, lo, hi)
+    # q | m2dt: the one root mod q is 0
+    for q in (1_000_033, 1_000_000_000_061):
+        for m2dt, lo, count in ((28 * q, -50, 1), (q * (q + 4), q - 50, 1), (3 * q, -50, 0)):
+            want = [n for n in range(lo, lo + 101) if (m2dt - n * n) % (4 * q) == 0]
+            assert len(want) == count and _admissible_n(m2dt, 4 * q, lo, lo + 100) == want
 
 
 def assert_table_is_factorize(m2dt, div):

@@ -27,7 +27,10 @@ def cache_dir(tmp_path, monkeypatch):
 def test_bm_output(tmp_path, cache_dir, capsys):
     field = write_field(tmp_path / "f.json")
     assert cli.run(["bm", "--field", field, "--m", "1"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    # one report spliced into the document is the document json.dumps gives
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert payload == {
         "reports": [
             {
@@ -111,6 +114,16 @@ def test_mode_override(tmp_path, cache_dir, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "field-rejected"
     assert err["reason"] == "norm-not-prime"
+
+
+def test_order_not_free_exit_code(tmp_path, cache_dir, capsys):
+    # Δ = (−11 + √5)/2 has the prime norm 29, but no w ∈ O_F has w² ≡ Δ mod 4
+    field = write_field(tmp_path / "f.json", x=-11, y=1)
+    assert cli.run(["bm", "--field", field, "--m", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    err = json.loads(out.err)
+    assert (err["error"], err["reason"]) == ("field-rejected", "order-not-free")
 
 
 def test_csv_format(tmp_path, cache_dir, capsys):

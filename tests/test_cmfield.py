@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -19,7 +20,6 @@ from cmint.quadfield import (
     PrimeSpot,
     QuadElem,
     QuadField,
-    elem_div_exact,
     elem_norm,
     splitting,
 )
@@ -34,7 +34,6 @@ def test_build_example():
     assert f.dtilde == 41
     assert f.delta_tilde == QuadElem(QuadField(41), -13, 2, 1)
     assert elem_norm(f.delta_tilde) == 5
-    assert f.w == QuadElem(F5, 1, 1, 2)
     assert f.w_k == 2
     assert f.mode == "strict"
     rd = f.rel_diff
@@ -52,14 +51,45 @@ def test_build_cyclotomic():
     assert spot.l == 5 and spot.kind == "ramified" and exp == 1
 
 
-def test_w_criterion_on_known_generators():
-    # both fields admit an order generator w with (w² − Δ)/4 integral
-    for f, w in (
-        (worked_field(), QuadElem(F5, 1, 1, 2)),
-        (cyclotomic_field(), QuadElem(F5, -1, 1, 2)),
-    ):
-        assert elem_div_exact(w * w - f.delta, 4) is not None
-        assert elem_div_exact(f.w * f.w - f.delta, 4) is not None
+def _ring_condition(D, x, y, den):
+    """Some w = (2a + b + b√D)/2, a, b in 0..3, has (w² − Δ)/4 in O_F."""
+    for a in range(4):
+        for b in range(4):
+            u = 2 * a + b  # w = (u + b√D)/2, so w² = (u² + b²D + 2ub√D)/4
+            X = (Fraction(u * u + b * b * D, 4) - Fraction(x, den)) / 4
+            Y = (Fraction(2 * u * b, 4) - Fraction(y, den)) / 4
+            # O_F holds (s + t√D)/2 with s ≡ t mod 2
+            s, t = 2 * X, 2 * Y
+            if s.denominator == t.denominator == 1 and (s - t) % 2 == 0:
+                return True
+    return False
+
+
+def test_order_criterion_matches_brute_force():
+    # the build refuses Δ as order-not-free exactly when no w ∈ O_F has
+    # w² ≡ Δ mod 4·O_F, checked here from that definition
+    rng = random.Random(31)
+    ds = [p for p in primes_up_to(2000) if p % 4 == 1]
+    verdicts = Counter()
+    for _ in range(4000):
+        D = rng.choice(ds)
+        y = rng.randint(-40, 40)
+        den = rng.choice([1, 2])
+        x = -(isqrt(y * y * D) + rng.randint(1, 40))
+        if den == 2 and (x - y) % 2:
+            x -= 1
+        mode = rng.choice(["strict", "permissive"])
+        delta = QuadElem(QuadField(D), x, y, den)
+        try:
+            build_cm_field(D, delta, mode)
+            built = True
+        except FieldRejected as exc:
+            if exc.reason != "order-not-free":
+                continue
+            built = False
+        assert built == _ring_condition(D, delta.x, delta.y, delta.den), (D, x, y, den, mode)
+        verdicts[mode, built] += 1
+    assert min(verdicts.values()) >= 50 and len(verdicts) == 4, verdicts
 
 
 def test_rejections():
@@ -85,6 +115,10 @@ def test_rejections():
 
     with pytest.raises(FieldRejected):
         build_cm_field(29, QuadElem(QuadField(29), -25, -3, 2))  # norm 91 ≡ 3 mod 4
+
+    with pytest.raises(FieldRejected) as e:
+        build_cm_field(5, QuadElem(F5, -11, 1, 2))  # norm 29: no w with w² ≡ Δ mod 4
+    assert e.value.reason == "order-not-free"
 
     with pytest.raises(InputError):
         build_cm_field(5, QuadElem(F5, -13, 1, 2), mode="lenient")
@@ -186,6 +220,17 @@ def test_rho():
     assert rho(f, ((two_split, 5), (two_inert, -1))) == 0
 
 
+def times_square(e, u):
+    """e·u² in O_F, from (x + y√d)/den coordinates."""
+    d = e.field.disc
+    sx, sy = u.x * u.x + u.y * u.y * d, 2 * u.x * u.y
+    x, y, den = e.x * sx + e.y * sy * d, e.x * sy + e.y * sx, e.den * u.den * u.den
+    while den > 2:  # an element of O_F: den/2 divides both coordinates
+        assert x % 2 == 0 and y % 2 == 0
+        x, y, den = x // 2, y // 2, den // 2
+    return QuadElem(e.field, x, y, den)
+
+
 def test_square_class_invariance():
     # D̃ = 389 ≡ 5 mod 8: at its ramified spot 2 is a non-square, so the den = 2 of
     # (1 + √D̃)/2 matters there
@@ -203,7 +248,7 @@ def test_square_class_invariance():
                 continue
             u = QuadElem(Ft, x, y, den)
             for base in (f.delta_tilde, QuadElem(Ft, 1, 1, 2)):
-                scaled = base * u * u
+                scaled = times_square(base, u)
                 for s in spots:
                     assert _square_class_kind(scaled, s) == _square_class_kind(base, s)
 
@@ -361,10 +406,10 @@ def test_spot_kinds_derives_the_second_split_kind():
 
 def test_stored_field_hash_is_the_generated_one():
     def generated(g):
-        return hash((g.D, g.delta, g.w, g.dtilde, g.delta_tilde, g.rel_diff, g.w_k, g.mode))
+        return hash((g.D, g.delta, g.dtilde, g.delta_tilde, g.rel_diff, g.w_k, g.mode))
 
     def with_diff(g, rel_diff):
-        return CMFieldData(g.D, g.delta, g.w, g.dtilde, g.delta_tilde, rel_diff, g.w_k, g.mode)
+        return CMFieldData(g.D, g.delta, g.dtilde, g.delta_tilde, rel_diff, g.w_k, g.mode)
 
     f = build_cm_field(13, QuadElem(QuadField(13), -21, -2, 1))
     same = with_diff(f, f.rel_diff)

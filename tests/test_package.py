@@ -94,7 +94,7 @@ def test_every_lru_cache_is_hit_within_one_command(tmp_path, monkeypatch, capsys
 
 FIELD_REPR = (
     "CMFieldData(D=13, delta=QuadElem(field=QuadField(disc=13), x=-21, y=-2, den=1), "
-    "w=QuadElem(field=QuadField(disc=13), x=1, y=0, den=1), dtilde=389, "
+    "dtilde=389, "
     "delta_tilde=QuadElem(field=QuadField(disc=389), x=-42, y=2, den=1), "
     "rel_diff=((PrimeSpot(disc=389, l=13, kind='split', label=8), 1),), w_k=2, mode='strict')"
 )
@@ -107,7 +107,7 @@ def value_cases():
     """
     F = QuadField(13)
     f = build_cm_field(13, QuadElem(F, -21, -2))
-    field_args = (f.D, f.delta, f.w, f.dtilde, f.delta_tilde, f.rel_diff, f.w_k, f.mode)
+    field_args = (f.D, f.delta, f.dtilde, f.delta_tilde, f.rel_diff, f.w_k, f.mode)
     entry = BmEntry(2, 1, 1, None, ((3, 1),))
     half = Fraction(1, 2)
     return [
