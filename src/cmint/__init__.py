@@ -1,29 +1,8 @@
-"""Exact arithmetic intersection numbers of modular divisors with quartic CM cycles."""
+"""Exact arithmetic intersection numbers of modular divisors with quartic CM cycles.
 
-from .applications import (
-    BadReductionCertificate,
-    bad_reduction_primes,
-    humbert_intersection,
-    igusa_denominator_bounds,
-)
-from .bm import (
-    BmEntry,
-    BmReport,
-    bm_full,
-    bm_report,
-    intersection_number,
-    support_primes,
-)
-from .cmfield import (
-    CMFieldData,
-    build_cm_field,
-    classify_in_reflex_cm,
-    rho,
-)
-from .errors import CmintError, FieldRejected, InputError, InternalConsistencyError
-from .logcombo import LogCombo
-from .quadfield import PrimeSpot, QuadElem, QuadField, elem_norm, ord_at, splitting
-from .tmatrix import TMatrix, t_matrix
+Each public name loads its submodule on first use (PEP 562), so importing the
+package, or one submodule such as `cmint.cli`, loads only what it runs.
+"""
 
 __version__ = "0.1.0"
 
@@ -56,3 +35,37 @@ __all__ = [
     "support_primes",
     "t_matrix",
 ]
+
+# the submodule that defines each public name
+_HOME = {
+    name: module
+    for module, names in (
+        (
+            "applications",
+            "BadReductionCertificate bad_reduction_primes humbert_intersection"
+            " igusa_denominator_bounds",
+        ),
+        ("bm", "BmEntry BmReport bm_full bm_report intersection_number support_primes"),
+        ("cmfield", "CMFieldData build_cm_field classify_in_reflex_cm rho"),
+        ("errors", "CmintError FieldRejected InputError InternalConsistencyError"),
+        ("logcombo", "LogCombo"),
+        ("quadfield", "PrimeSpot QuadElem QuadField elem_norm ord_at splitting"),
+        ("tmatrix", "TMatrix t_matrix"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{home}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

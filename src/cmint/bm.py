@@ -16,7 +16,6 @@ route (b) applies, the two are compared and a mismatch is a hard error.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt
 
@@ -24,7 +23,6 @@ from .cmfield import CMFieldData, spot_kinds
 from .errors import InputError, InternalConsistencyError
 from .frozen import Frozen
 from .localdensity import b_l_factors
-from .logcombo import LogCombo
 from .numutil import is_squarefree, pollard_factorize, primes_up_to
 from .padic import _sqrt_mod_prime, kronecker
 from .quadfield import split_ord
@@ -327,12 +325,18 @@ def bm_report(field: CMFieldData, m: int) -> BmReport:
 
 def bm_full(field: CMFieldData, m: int) -> LogCombo:
     """b_m = Σ_p b_m(p)·log p with the opportunistic route cross-check."""
+    from .logcombo import LogCombo  # the CLI reads reports, never combos
+
     rep = bm_report(field, m)
     return LogCombo.from_dict({e.p: e.b for e in rep.entries})
 
 
 def intersection_number(field: CMFieldData, m: int) -> LogCombo:
     """The arithmetic intersection multiplicity, ½·b_m."""
+    from fractions import Fraction
+
+    from .logcombo import LogCombo
+
     return LogCombo.from_dict({e.p: Fraction(e.b, 2) for e in bm_report(field, m).entries})
 
 

@@ -11,15 +11,9 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import cache
-from .applications import (
-    bad_reduction_primes,
-    humbert_intersection,
-    igusa_denominator_bounds,
-)
 from .bm import bm_report, field_header, report_json_obj, report_rows
 from .cmfield import CMFieldData, build_cm_field
 from .errors import FieldRejected, InputError, InternalConsistencyError
-from .logcombo import rational_json
 from .quadfield import QuadElem, QuadField
 
 _RANGE = re.compile(r"^(\d+)(?:-(\d+))?$")
@@ -178,6 +172,8 @@ def _cmd_intersect(args) -> int:
 
 
 def _cmd_humbert(args) -> int:
+    from .applications import humbert_intersection  # a cache hit never runs the applications
+
     field = load_field(args.field, args.mode)
     combo = humbert_intersection(field, args.m)
     payload = {**field_header(field), "m": args.m, "humbert_intersection": combo.json_obj()}
@@ -186,6 +182,9 @@ def _cmd_humbert(args) -> int:
 
 
 def _cmd_badprimes(args) -> int:
+    from .applications import bad_reduction_primes
+    from .logcombo import rational_json
+
     field = load_field(args.field, args.mode)
     cert = bad_reduction_primes(field)
     payload = {
@@ -200,6 +199,8 @@ def _cmd_badprimes(args) -> int:
 
 
 def _cmd_igusa(args) -> int:
+    from .applications import igusa_denominator_bounds
+
     field = load_field(args.field, args.mode)
     bounds = igusa_denominator_bounds(field)
     payload = field_header(field)

@@ -15,7 +15,6 @@ exponent 1 (`_relative_different`), so 2 never ramifies in K̃/F̃.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import FieldRejected, InputError, InternalConsistencyError
@@ -28,7 +27,6 @@ from .quadfield import (
     QuadField,
     _need_prime,
     _splitting,
-    elem_norm,
     ord_at,
     split_ord,
     split_root,
@@ -148,7 +146,8 @@ def _relative_different(delta_tilde: QuadElem, D: int) -> tuple[tuple[PrimeSpot,
     internal error.
     """
     Ft = delta_tilde.field
-    nrm = int(elem_norm(delta_tilde))
+    x, y = delta_tilde.x, delta_tilde.y
+    nrm = x * x - y * y * Ft.disc  # the norm of Δ̃, whose den is 1
     out = []
     for l in sorted(set(prime_factors(nrm)) | {2}):
         for spot in _splitting(Ft.disc, l):
@@ -167,10 +166,9 @@ def _build_cached(D: int, x: int, y: int, den: int, mode: str) -> CMFieldData:
     delta = QuadElem(QuadField(D), x, y, den)
     if not _totally_negative(delta):
         raise FieldRejected("delta-not-totally-negative", f"Δ = ({x}+{y}√{D})/{den}")
-    nrm = elem_norm(delta)
-    if nrm.denominator != 1:
+    dt, r = divmod(delta.x * delta.x - delta.y * delta.y * D, delta.den * delta.den)
+    if r:
         raise InternalConsistencyError("norm of a maximal-order element is integral")
-    dt = int(nrm)
     if dt % 4 != 1:
         raise FieldRejected("norm-not-1-mod-4", f"norm(Δ) = {dt}")
     if is_perfect_square(dt):
@@ -186,10 +184,10 @@ def _build_cached(D: int, x: int, y: int, den: int, mode: str) -> CMFieldData:
     A, B = _omega_unit_coords(delta, 0)
     if (A % 4, B % 4) not in _dyadic_squares(D, 4):
         raise FieldRejected("order-not-free", "no w with w² ≡ Δ mod 4·O_F")
-    two_d0 = 2 * Fraction(x, den)
-    if two_d0.denominator != 1:
+    two_d0, r = divmod(2 * x, den)
+    if r:
         raise InternalConsistencyError("2Δ₀ must be integral")
-    delta_tilde = QuadElem(reflex, int(two_d0), 2, 1)
+    delta_tilde = QuadElem(reflex, two_d0, 2, 1)
     rel = _relative_different(delta_tilde, D)
     w_k = 10 if (D == 5 and dt == 5) else 2
     return CMFieldData(D, delta, dt, delta_tilde, rel, w_k, mode)

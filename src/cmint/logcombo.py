@@ -33,16 +33,6 @@ class LogCombo(Frozen):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "LogCombo") -> "LogCombo":
-        acc = dict(self.coeffs)
-        for p, c in other.coeffs:
-            acc[p] = acc.get(p, Fraction(0)) + c
-        return LogCombo.from_dict(acc)
-
-    def scaled(self, s) -> "LogCombo":
-        s = Fraction(s)
-        return LogCombo.from_dict({p: c * s for p, c in self.coeffs})
-
     def json_obj(self) -> dict[str, int | str]:
         """Exact JSON form, keyed by the primes as strings (see `rational_json`)."""
         return {str(p): rational_json(c) for p, c in self.coeffs}

@@ -2,24 +2,24 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InputError, InternalConsistencyError
 from .numutil import is_prime, ord_p
 
-Rational = int | Fraction
 
-
-def val(x: Rational, l: int) -> int:
+def val(x: int | Fraction, l: int) -> int:
     """l-adic valuation of a nonzero rational."""
+    from fractions import Fraction  # the scans never take rational valuations
+
     fx = Fraction(x)
     if fx == 0:
         raise InputError("valuation of 0 is undefined")
     return ord_p(fx.numerator, l) - ord_p(fx.denominator, l)
 
 
-def unit_part_mod(x: Rational, l: int, modulus: int) -> int:
+def unit_part_mod(x: int | Fraction, l: int, modulus: int) -> int:
     """The l-unit part x·l^(-val(x)) reduced modulo `modulus` (an l-power)."""
+    from fractions import Fraction
+
     fx = Fraction(x)
     if fx == 0:
         raise InputError("unit part of 0 is undefined")
@@ -59,8 +59,10 @@ def kronecker(a: int, n: int) -> int:
     return k if n == 1 else 0
 
 
-def hilbert(a: Rational, b: Rational, place: int | str) -> int:
+def hilbert(a: int | Fraction, b: int | Fraction, place: int | str) -> int:
     """Hilbert symbol (a, b) over the completion at `place` (a prime or "infinity")."""
+    from fractions import Fraction
+
     fa, fb = Fraction(a), Fraction(b)
     if fa == 0 or fb == 0:
         raise InputError("hilbert symbol needs nonzero arguments")
@@ -115,7 +117,7 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
     return r
 
 
-def hensel_sqrt(a: Rational, l: int, k: int) -> int | None:
+def hensel_sqrt(a: int | Fraction, l: int, k: int) -> int | None:
     """Canonical square root of the l-adic unit a modulo l^k, or None.
 
     Canonical means: for odd l the root reduces mod l into [1, (l-1)/2];

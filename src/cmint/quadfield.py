@@ -6,8 +6,6 @@ told apart by the residue class of √d they select.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InputError, InternalConsistencyError
 from .frozen import Frozen
 from .numutil import is_prime, is_squarefree, ord_p
@@ -54,6 +52,8 @@ class QuadElem(Frozen):
 
 def elem_norm(e: QuadElem) -> Fraction:
     """Field norm x² − y²·d over den²."""
+    from fractions import Fraction  # only callers outside the scans read norms as rationals
+
     return Fraction(e.x * e.x - e.y * e.y * e.field.disc, e.den * e.den)
 
 

@@ -13,8 +13,6 @@ admissible; for D | n both are.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cmfield import CMFieldData
 from .errors import InputError, InternalConsistencyError
 from .frozen import Frozen
@@ -36,20 +34,29 @@ class TMatrix(Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mu", mu)
 
+    # the scans read only `num` and `q`: these build their Fractions when asked
     @property
     def a(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.num[0], self.q)
 
     @property
     def b(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.num[1], self.q)
 
     @property
     def c(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.num[2], self.q)
 
     @property
     def det(self) -> Fraction:
+        from fractions import Fraction
+
         a, b, c = self.num
         return Fraction(a * c - b * b, self.q * self.q)
 

@@ -176,18 +176,110 @@ def test_value_classes_keep_dataclass_semantics():
     assert PrimeSpot(disc=13, l=3, kind="inert") == PrimeSpot(13, 3, "inert")
 
 
+SRC = os.path.dirname(os.path.dirname(cmint.__file__))
+
+# modules that a cache hit never runs, so the CLI must not load them before it
+# needs them: the applications, LogCombo and selfcheck load inside their
+# commands, csv only for CSV output, and no module on a hit builds a Fraction
+HIT_UNLOADED = (
+    "fractions",
+    "decimal",
+    "cmint.applications",
+    "cmint.logcombo",
+    "cmint.selfcheck",
+    "csv",
+    "dataclasses",
+)
+
+
+# run first in a fresh interpreter: at exit, its last stderr line names the
+# loaded modules among cmint's and `HIT_UNLOADED`
+WATCH = (
+    "import atexit, sys; atexit.register(lambda: print(*sorted(m for m in sys.modules"
+    f" if m.split('.')[0] == 'cmint' or m in {HIT_UNLOADED!r}), file=sys.stderr))"
+)
+
+
+def fresh_python(code: str, *args: str, **env: str) -> tuple[int, bytes, set[str]]:
+    """`code` run with `args` in a fresh interpreter on this source tree: its exit
+    code, its stdout, and the modules `WATCH` saw loaded.
+
+    A fresh one, since pytest and the other tests have already loaded most of
+    these modules here.
+    """
+    env = dict(os.environ, PYTHONPATH=SRC, **env)
+    argv = [sys.executable, "-c", f"{WATCH}; {code}", *args]
+    out = subprocess.run(argv, env=env, capture_output=True)
+    err = out.stderr.decode().splitlines()
+    return out.returncode, out.stdout, set(err[-1].split()) if err else set()
+
+
 def test_cli_import_leaves_dataclasses_unloaded():
-    # in a fresh interpreter: pytest itself has already loaded dataclasses here.
     # cmint.bm must load eagerly with the CLI, since the benchmark's range-cold
-    # clock marks are installed on the modules that import loads; csv loads only
-    # for CSV output
-    code = (
-        "import sys, cmint.cli; "
-        "print('dataclasses' in sys.modules, 'cmint.bm' in sys.modules, 'csv' in sys.modules)"
-    )
-    src = os.path.dirname(os.path.dirname(cmint.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.split() == ["False", "True", "False"]
+    # clock marks are installed on the modules that import loads, and with it
+    # the modules it scans with, which the benchmark's tracer hooks only if loaded
+    assert fresh_python("import cmint.cli")[2] == {
+        "cmint",
+        "cmint.bm",
+        "cmint.cache",
+        "cmint.cli",
+        "cmint.cmfield",
+        "cmint.errors",
+        "cmint.frozen",
+        "cmint.localdensity",
+        "cmint.numutil",
+        "cmint.padic",
+        "cmint.quadfield",
+        "cmint.tmatrix",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bm", "--m", "1-3"], ["intersect", "--m", "1-3", "--format", "csv"]],
+    ids=["bm-json", "intersect-csv"],
+)
+def test_cold_and_warm_runs_load_only_what_they_run(tmp_path, argv):
+    # the routes build no Fraction either, so a run that computes loads no more
+    # than one that reads the cache
+    field = tmp_path / "f.json"
+    field.write_text('{"D": 13, "delta": {"x": -21, "y": -2, "den": 1}, "mode": "strict"}')
+    argv = [argv[0], "--field", str(field), *argv[1:]]
+    cache = tmp_path / "cache"
+    code = "import cmint.cli; sys.exit(cmint.cli.run(sys.argv[1:]))"
+    cold = fresh_python(code, *argv, CMINT_CACHE_DIR=str(cache))
+    files = {f: f.stat().st_mtime_ns for f in cache.rglob("*.json")}
+    assert len(files) == 3
+    warm = fresh_python(code, *argv, CMINT_CACHE_DIR=str(cache))
+    # every m was a hit: no file was written again
+    assert {f: f.stat().st_mtime_ns for f in files} == files
+    assert warm[1] == cold[1]
+    for status, _, mods in (cold, warm):
+        assert status == 0
+        assert mods & set(HIT_UNLOADED) == ({"csv"} if "csv" in argv else set())
+
+
+SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(cmint.__path__))
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_each_submodule_imports_alone(name):
+    # the package imports none of them, so nothing fixes their import order:
+    # each must import first, in a fresh interpreter, without a cycle
+    assert fresh_python(f"import cmint.{name}")[0] == 0
+
+
+def test_package_names_load_on_first_use():
+    assert len(SUBMODULES) == 14
+    # `import cmint` loads no submodule; star-import binds every public name
+    assert fresh_python("import cmint")[2] == {"cmint"}
+    code = "from cmint import *; import cmint; print(all(n in globals() for n in cmint.__all__))"
+    assert fresh_python(code)[1] == b"True\n"
+    assert len(cmint.__all__) == len(set(cmint.__all__)) == 27
+    assert set(cmint.__all__) <= set(dir(cmint))
+    for name in cmint.__all__:
+        value = getattr(cmint, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    assert cmint.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match=r"^module 'cmint' has no attribute 'nope'$"):
+        cmint.nope
