@@ -52,10 +52,11 @@ class BadReductionCertificate(Frozen):
         object.__setattr__(self, "bound", bound)
 
 
-def _genus_two_sum(field: CMFieldData) -> tuple[tuple[int, ...], LogCombo]:
-    """The indices (D − n²)/4 over odd 0 < n < √D, and Σ b_k over them."""
+def _genus_two_sum(field: CMFieldData) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The indices (D − n²)/4 over odd 0 < n < √D, and the nonzero Σ b_k over them
+    as (p, sum) pairs sorted by p."""
     indices = tuple((field.D - n * n) // 4 for n in range(1, isqrt(field.D - 1) + 1, 2))
-    return indices, LogCombo.from_dict(_b_sum(field, indices))
+    return indices, tuple(sorted((p, b) for p, b in _b_sum(field, indices).items() if b))
 
 
 def bad_reduction_primes(field: CMFieldData) -> BadReductionCertificate:
@@ -64,21 +65,10 @@ def bad_reduction_primes(field: CMFieldData) -> BadReductionCertificate:
         raise InputError("bad-reduction certificates require strict mode")
     indices, total = _genus_two_sum(field)
     bound = Fraction(field.D * field.dtilde, 64)
-    bad = []
-    for l, c in total.coeffs:
-        if c:
-            if l > bound:
-                raise InternalConsistencyError(
-                    f"certified prime {l} exceeds the bound {bound}"
-                )
-            bad.append(l)
-    return BadReductionCertificate(
-        field,
-        indices,
-        tuple((l, int(c)) for l, c in total.coeffs),
-        tuple(bad),
-        bound,
-    )
+    for l, _ in total:
+        if 64 * l > field.D * field.dtilde:
+            raise InternalConsistencyError(f"certified prime {l} exceeds the bound {bound}")
+    return BadReductionCertificate(field, indices, total, tuple(l for l, _ in total), bound)
 
 
 def igusa_denominator_bounds(field: CMFieldData) -> dict[str, dict[int, int]]:
@@ -86,16 +76,7 @@ def igusa_denominator_bounds(field: CMFieldData) -> dict[str, dict[int, int]]:
     if field.mode != "strict":
         raise InputError("denominator bounds require strict mode")
     _, total = _genus_two_sum(field)
-    out: dict[str, dict[int, int]] = {}
-    for name, k in (("A1", 3), ("A2", 2), ("A3", 2)):
-        exps: dict[int, int] = {}
-        for p, c in total.coeffs:
-            e = k * field.w_k * c
-            if Fraction(e).denominator != 1:
-                raise InternalConsistencyError(
-                    f"non-integral exponent {e} at p={p} in {name}"
-                )
-            if e:
-                exps[p] = int(e)
-        out[name] = exps
-    return out
+    return {
+        name: {p: k * field.w_k * c for p, c in total}
+        for name, k in (("A1", 3), ("A2", 2), ("A3", 2))
+    }

@@ -23,8 +23,13 @@ from .cmfield import CMFieldData, spot_kinds
 from .errors import InputError, InternalConsistencyError
 from .frozen import Frozen
 from .localdensity import b_l_factors
-from .numutil import is_squarefree, pollard_factorize, primes_up_to
-from .padic import _sqrt_mod_prime, kronecker
+from .numutil import (
+    _sqrt_mod_prime,
+    is_squarefree,
+    kronecker,
+    pollard_factorize,
+    primes_up_to,
+)
 from .quadfield import split_ord
 from .tmatrix import admissible_matrices
 

@@ -14,6 +14,7 @@ from . import cache
 from .bm import bm_report, field_header, report_json_obj, report_rows
 from .cmfield import CMFieldData, build_cm_field
 from .errors import FieldRejected, InputError, InternalConsistencyError
+from .numutil import is_prime
 from .quadfield import QuadElem, QuadField
 
 _RANGE = re.compile(r"^(\d+)(?:-(\d+))?$")
@@ -83,12 +84,13 @@ def load_field(path: str, mode_override: str | None = None) -> CMFieldData:
     if mode not in ("strict", "permissive"):
         raise FieldRejected("bad-mode", str(mode))
     D, x, y, den = vals
+    # proved prime before anything else is done with it: `QuadField`'s squarefree
+    # test would send a composite D to `factorize`, whose Pollard rho takes about
+    # √p steps on a factor p
+    if not is_prime(D) or D % 4 != 1:
+        raise FieldRejected("D-not-valid", f"D = {D} must be a prime ≡ 1 mod 4")
     try:
-        base = QuadField(D)
-    except InputError as exc:
-        raise FieldRejected("D-not-valid", f"D = {D} must be a prime ≡ 1 mod 4") from exc
-    try:
-        elem = QuadElem(base, x, y, den)
+        elem = QuadElem(QuadField(D), x, y, den)
     except InputError as exc:
         raise FieldRejected("invalid-delta", str(exc)) from exc
     return build_cm_field(D, elem, mode)

@@ -19,8 +19,7 @@ from functools import lru_cache
 
 from .errors import FieldRejected, InputError, InternalConsistencyError
 from .frozen import Frozen
-from .numutil import is_perfect_square, is_prime, ord_p, prime_factors
-from .padic import kronecker
+from .numutil import is_perfect_square, is_prime, kronecker, ord_p, prime_factors
 from .quadfield import (
     PrimeSpot,
     QuadElem,

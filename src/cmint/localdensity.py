@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from .cmfield import CMFieldData, spot_kinds
 from .errors import InputError, InternalConsistencyError
-from .numutil import ord_p
-from .padic import kronecker
+from .numutil import kronecker, ord_p
 from .tmatrix import TMatrix
 
 

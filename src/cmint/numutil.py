@@ -1,9 +1,12 @@
-"""Integer helpers: primality, factorization, squarefree tests."""
+"""Integer helpers: primality, factorization, squarefree tests, Kronecker symbols
+and square roots modulo a prime."""
 
 from __future__ import annotations
 
 import random
 from math import gcd, isqrt
+
+from .errors import InputError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -24,6 +27,65 @@ _PSI = (
 )
 
 
+def kronecker(a: int, n: int) -> int:
+    """Kronecker symbol (a|n) for n != 0."""
+    if n == 0:
+        raise InputError("kronecker symbol needs n != 0")
+    k = 1
+    v = 0
+    while n % 2 == 0:
+        n //= 2
+        v += 1
+    if v:
+        if a % 2 == 0:
+            return 0
+        if v % 2 and a % 8 in (3, 5):
+            k = -k
+    if n < 0:
+        n = -n
+        if a < 0:
+            k = -k
+    a %= n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                k = -k
+        if a % 4 == 3 and n % 4 == 3:
+            k = -k
+        a, n = n % a, a
+    return k if n == 1 else 0
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int:
+    """A square root of the unit residue a modulo the odd prime p."""
+    a %= p
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    if p % 8 == 5:
+        r = pow(a, (p + 3) // 8, p)
+        if r * r % p != a:
+            r = r * pow(2, (p - 1) // 4, p) % p
+        return r
+    # Tonelli-Shanks for p ≡ 1 mod 8
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while kronecker(z, p) != -1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
 def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
     """Miller–Rabin round for the odd n with n − 1 = d·2^s."""
     x = pow(a, d, n)
@@ -38,8 +100,6 @@ def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
 
 def _strong_lucas_probable_prime(n: int) -> bool:
     """Strong Lucas test with Selfridge's parameters, for odd n > 41."""
-    from .padic import kronecker  # padic imports this module
-
     if isqrt(n) ** 2 == n:
         return False  # no D with (D|n) = −1 exists
     dd = 5

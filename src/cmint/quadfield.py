@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from .errors import InputError, InternalConsistencyError
 from .frozen import Frozen
-from .numutil import is_prime, is_squarefree, ord_p
-from .padic import _sqrt_mod_prime, kronecker
+from .numutil import _sqrt_mod_prime, is_prime, is_squarefree, kronecker, ord_p
 
 
 class QuadField(Frozen):

@@ -1,10 +1,14 @@
-"""The package's consistency checks, shared by `cmint selfcheck` and the tests.
+"""The consistency checks of what the package computes, shared by `cmint selfcheck`
+and the tests.
 
 Each ``check_*`` function takes its scale, checks one invariant exactly over it
 and returns the number of cases checked; a violation raises
-`InternalConsistencyError`. `SUITES` runs them at small scale behind
-`cmint selfcheck`, the tests at the scales the README lists, and `run_suite`
-turns each outcome into a (name, ok, detail) row instead of a crash.
+`InternalConsistencyError`. Every check exercises code that a route, a command
+or an application runs: route agreement, vanishing, the T-matrix laws, the
+locked values of the worked and cyclotomic fields and the cache layout. `SUITES`
+runs them at small scale behind `cmint selfcheck`, the tests at the scales the
+README lists, and `run_suite` turns each outcome into a (name, ok, detail) row
+instead of a crash.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ from .applications import (
 from .bm import bm_full, bm_report, intersection_number, report_rows
 from .cmfield import CMFieldData, build_cm_field
 from .errors import FieldRejected, InternalConsistencyError
-from .numutil import is_squarefree, prime_factors, primes_up_to
-from .padic import hensel_sqrt, hilbert, kronecker
+from .numutil import is_squarefree, primes_up_to
 from .quadfield import QuadElem, QuadField
 from .tmatrix import admissible_matrices
 
@@ -160,63 +163,6 @@ def check_tmatrix_laws(fields: Iterable[CMFieldData], m_max: int) -> int:
     return seen
 
 
-def check_hilbert_product(count: int, seed: int, num_max: int, den_max: int) -> int:
-    """Π_v (a, b)_v = 1 over every place for `count` random pairs ±num/den."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        a, b = (
-            Fraction(rng.choice((1, -1)) * rng.randint(1, num_max), rng.randint(1, den_max))
-            for _ in range(2)
-        )
-        places = {2}
-        for x in (a, b):
-            places.update(prime_factors(abs(x.numerator)), prime_factors(x.denominator))
-        prod = hilbert(a, b, "infinity")
-        for l in places:
-            prod *= hilbert(a, b, l)
-        if prod != 1:
-            raise InternalConsistencyError(f"product formula fails at a={a}, b={b}")
-    return count
-
-
-def check_hensel(l_max: int, k_max: int, a_max: int, draws: int = 0, seed: int = 0) -> int:
-    """hensel_sqrt(a, l, k) for prime l <= l_max, k <= k_max and each unit a that is
-    below a_max, l^k − 1 or one of `draws` random ones, and for a² mod l^k.
-
-    A root lies in (0, l^k), squares it to a and lifts stably to l^(k+1). A missing
-    root is confirmed by brute force up to l^k = 2048, else by the Kronecker symbol or mod 8;
-    a² must get one. Returns the number of (a, l, k) checked.
-    """
-    rng = random.Random(seed)
-    checked = 0
-    for l in primes_up_to(l_max):
-        for k in range(1, k_max + 1):
-            mod = l**k
-            stable = mod if l % 2 else mod // 2
-            squares = {x * x % mod for x in range(mod)} if mod <= 2048 else None
-            samples = {*range(1, min(mod, a_max)), mod - 1}
-            samples.update(rng.randrange(1, mod) for _ in range(draws))
-            for a in sorted(x for x in samples if x % l):
-                for b, square in ((a, False), (a * a % mod, True)):
-                    r = hensel_sqrt(b, l, k)
-                    if r is None:
-                        if squares is not None:
-                            has_root = b in squares
-                        else:
-                            has_root = b % 8 == 1 if l == 2 else kronecker(b, l) == 1
-                        if has_root or square:
-                            raise InternalConsistencyError(f"missed root of {b} mod {l}^{k}")
-                    else:
-                        nxt = hensel_sqrt(b, l, k + 1)
-                        bad = not 0 < r < mod or (r * r - b) % mod
-                        if bad or nxt is None or (nxt - r) % stable:
-                            raise InternalConsistencyError(
-                                f"bad root {r} of {b} mod {l}^{k}, lifted to {nxt}"
-                            )
-                    checked += 1
-    return checked
-
-
 def check_worked_instance() -> int:
     """Every value locked for D = 5, Δ = (−13 + √5)/2 at m = 1; the number locked."""
     field = worked_field()
@@ -284,8 +230,6 @@ def check_cache_roundtrip() -> int:
 
 
 _SMALL = (
-    ("hilbert-product-formula", lambda: check_hilbert_product(300, 20260817, 60, 1)),
-    ("hensel-roundtrip", lambda: check_hensel(13, 6, 200)),
     ("worked-instance", check_worked_instance),
     ("cyclotomic-vanishing", check_cyclotomic),
     ("t-matrix-laws", lambda: check_tmatrix_laws((cyclotomic_field(), worked_field()), 6)),

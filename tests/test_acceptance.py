@@ -12,12 +12,9 @@ from math import gcd, isqrt
 from cmint.bm import bm_report
 from cmint.cmfield import build_cm_field
 from cmint.localdensity import b_l_factors
-from cmint.numutil import ord_p, prime_factors, primes_up_to
-from cmint.padic import kronecker
+from cmint.numutil import kronecker, ord_p, prime_factors, primes_up_to
 from cmint.quadfield import QuadElem, QuadField, elem_norm, ord_at, splitting
 from cmint.selfcheck import (
-    check_hensel,
-    check_hilbert_product,
     check_route_agreement,
     check_tmatrix_laws,
     check_vanishing,
@@ -26,6 +23,7 @@ from cmint.selfcheck import (
     worked_field,
 )
 from cmint.tmatrix import admissible_matrices
+from padic_reference import check_hensel, check_hilbert_product
 from whittaker import beta_l_factor
 
 

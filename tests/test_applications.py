@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from cmint import applications
 from cmint.applications import (
     bad_reduction_primes,
     humbert_intersection,
     igusa_denominator_bounds,
 )
 from cmint.cmfield import build_cm_field
-from cmint.errors import InputError
+from cmint.errors import InputError, InternalConsistencyError
+from cmint.logcombo import LogCombo
 from cmint.quadfield import QuadElem, QuadField
 from cmint.selfcheck import worked_field
 
@@ -66,6 +68,27 @@ def test_bad_reduction_other_discriminants():
 def test_igusa_worked_instance():
     got = igusa_denominator_bounds(worked_field())
     assert got == {"A1": {2: 12}, "A2": {2: 8}, "A3": {2: 8}}
+
+
+def test_certificates_work_on_integer_sums(monkeypatch):
+    # the certificates read `_b_sum`'s integers: no LogCombo is built, and only
+    # the bound D·D̃/64 is a Fraction
+    def refuse(d):
+        raise AssertionError("LogCombo built")
+
+    monkeypatch.setattr(LogCombo, "from_dict", staticmethod(refuse))
+    f = worked_field()
+    cert = bad_reduction_primes(f)
+    assert cert.per_prime == ((2, 2),)
+    assert cert.bound == Fraction(205, 64)
+    assert all(type(c) is int for _, c in cert.per_prime)
+    got = igusa_denominator_bounds(f)
+    assert got == {"A1": {2: 12}, "A2": {2: 8}, "A3": {2: 8}}
+    assert all(type(e) is int for exps in got.values() for e in exps.values())
+    # a prime past the bound is a bug, reported with the bound as a fraction
+    monkeypatch.setattr(applications, "_b_sum", lambda field, indices: {2: 2, 3: 0, 5: 4})
+    with pytest.raises(InternalConsistencyError, match="certified prime 5 exceeds the bound 205/64"):
+        bad_reduction_primes(f)
 
 
 def test_igusa_scaling_relation():

@@ -30,8 +30,15 @@ from cmint.cmfield import (
 )
 from cmint.errors import InputError, InternalConsistencyError
 from cmint.localdensity import b_l_factors
-from cmint.numutil import factorize, is_prime, is_squarefree, ord_p, prime_factors, primes_up_to
-from cmint.padic import hensel_sqrt, kronecker
+from cmint.numutil import (
+    factorize,
+    is_prime,
+    is_squarefree,
+    kronecker,
+    ord_p,
+    prime_factors,
+    primes_up_to,
+)
 from cmint.quadfield import QuadElem, QuadField, ord_at, split_ord, splitting
 from cmint.selfcheck import (
     check_cyclotomic,
@@ -43,6 +50,7 @@ from cmint.selfcheck import (
     worked_field,
 )
 from cmint.tmatrix import admissible_matrices
+from padic_reference import hensel_sqrt
 
 F5 = QuadField(5)
 

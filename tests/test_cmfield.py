@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from cmint import cmfield, numutil, padic, quadfield
+from cmint import cmfield, numutil, quadfield
 from cmint.cmfield import (
     CMFieldData,
     _square_class_kind,
@@ -435,7 +435,7 @@ def test_spot_table_proves_each_prime_once(monkeypatch):
         build_cm_field(13, QuadElem(QuadField(13), -21, -2, 1)),  # 13 | norm(Δ̃), 13 split
         next(f for f in sweep_fields() if f.dtilde % 8 == 1),  # 2 split in F̃
     ]
-    for mod in (cmfield, padic, quadfield):
+    for mod in (cmfield, quadfield):
         monkeypatch.setattr(mod, "is_prime", counting)
     for f in fields:
         spot_kinds.cache_clear()

@@ -9,11 +9,11 @@ from cmint.bm import _factor_table, _route_b
 from cmint.cmfield import build_cm_field
 from cmint.errors import InputError, InternalConsistencyError
 from cmint.localdensity import b_l_factors
-from cmint.numutil import is_squarefree, ord_p, prime_factors, primes_up_to
-from cmint.padic import hilbert, kronecker
+from cmint.numutil import is_squarefree, kronecker, ord_p, prime_factors, primes_up_to
 from cmint.quadfield import QuadElem, QuadField
 from cmint.selfcheck import cyclotomic_field, sweep_fields, worked_field
 from cmint.tmatrix import TMatrix, admissible_matrices, t_matrix
+from padic_reference import hilbert
 from whittaker import alpha_l, beta_l_factor
 
 F5 = QuadField(5)

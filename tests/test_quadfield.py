@@ -3,8 +3,7 @@ import random
 import pytest
 
 from cmint.errors import InputError
-from cmint.numutil import primes_up_to
-from cmint.padic import kronecker, val
+from cmint.numutil import kronecker, primes_up_to
 from cmint.quadfield import (
     PrimeSpot,
     QuadElem,
@@ -13,6 +12,7 @@ from cmint.quadfield import (
     ord_at,
     splitting,
 )
+from padic_reference import val
 
 F5 = QuadField(5)
 F41 = QuadField(41)

@@ -12,9 +12,9 @@ Kronecker symbol (−α | l) is the Hilbert symbol (−α, l)_l.
 from cmint.cmfield import CMFieldData
 from cmint.errors import InputError, InternalConsistencyError
 from cmint.localdensity import _alpha_unit, _reflex_split_factor
-from cmint.numutil import is_prime, ord_p
-from cmint.padic import hilbert, kronecker
+from cmint.numutil import is_prime, kronecker, ord_p
 from cmint.tmatrix import TMatrix
+from padic_reference import hilbert
 
 
 def alpha_l(T: TMatrix, l: int) -> int:
