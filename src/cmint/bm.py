@@ -4,14 +4,17 @@ Route (a) is the definitional ideal count: sum over signed n with
 t = (n + m√D̃)/(2D) in the inverse relative different, of local terms at the
 non-split spots over p; it decides membership at the primes dividing 2D first,
 from v_l(m²D̃ − n²), and reads the other spot valuations off the factorization
-of (m²D̃ − n²)/(4D). Route (b) is the closed product formula over primes
-dividing (m²D̃ − n²)/(4D), valid for squarefree m coprime to 2DD̃p. Each route
-is one scan over n per m that yields every prime's value, and every scan walks
-only the residue classes of n with 4D | m²D̃ − n² (`_admissible_n`). The
-routes share only that range of n and the m's factor table (`_factor_table`),
-which factors every (m²D̃ − n²)/4D with one sieve; `bm_report` builds it once
-per m and hands it to route (a), the support primes and route (b). Whenever
-route (b) applies, the two are compared and a mismatch is a hard error.
+of (m²D̃ − n²)/(4D). At a prime of that factorization prime to D·m·D̃·norm(Δ̃),
+where Δ̃ is a unit, the one spot's kind in K̃ is one quadratic character; only
+the primes of 2·D·m·D̃·norm(Δ̃) read the spot table `spot_kinds`. Route (b) is
+the closed product formula over primes dividing (m²D̃ − n²)/(4D), valid for
+squarefree m coprime to 2DD̃p. Each route is one scan over n per m that
+yields every prime's value, and every scan walks only the residue classes of
+n with 4D | m²D̃ − n² (`_admissible_n`). The routes share only that range of n
+and the m's factor table (`_factor_table`), which factors every
+(m²D̃ − n²)/4D with one sieve; `bm_report` builds it once per m and hands it
+to route (a), the support primes and route (b). Whenever route (b) applies,
+the two are compared and a mismatch is a hard error.
 """
 
 from __future__ import annotations
@@ -172,6 +175,13 @@ def _spot_exps(vec: list, n: int, m: int, l: int, vl: int, rows) -> bool:
     return True
 
 
+def _unit_spot_kind(x: int, y: int, n: int, m: int, l: int) -> str:
+    """The kind in K̃ of the spot over l where √D̃ ≡ −n/m, for an odd prime
+    l ∤ m·norm(Δ̃), Δ̃ = x + y√D̃: "split" when the unit x − y·n/m, times the
+    square m², is a square mod l (Euler's criterion), else "inert"."""
+    return "split" if pow((x * m - y * n) * m, l >> 1, l) == 1 else "inert"
+
+
 def _candidate_n(field: CMFieldData, m: int, table: dict) -> list[int]:
     """The admissible signed n, ascending, that can pass membership at D.
 
@@ -210,11 +220,18 @@ def _route_a(
     decided there from v_l(m²D̃ − n²) = v_l(table entry) + v_l(4D) alone, and
     the scan walks only the class of n that can pass at D (`_candidate_n`).
     Only for the n that pass are the entry's other primes read.
+
+    An odd l ∤ D·m·D̃·norm(Δ̃) splits in F̃, and n + m√D̃ has all of v_l at its
+    spot √D̃ ≡ −n/m, where Δ̃ is a unit: that spot's kind is one symbol (`_unit_spot_kind`).
+    Only the primes of 2·D·m·D̃·norm(Δ̃) read `spot_kinds`, once per scan.
     """
     D = field.D
     if any(s.l != D for s, _ in field.rel_diff):
         raise InputError("the relative different must lie over D")
     fixed = ((2, 2, spot_kinds(field, 2)), (D, 1, spot_kinds(field, D)))  # l, v_l(4D), rows
+    x, y = field.delta_tilde.x, field.delta_tilde.y
+    special = m * field.dtilde * (x * x - y * y * field.dtilde)  # its primes, 2 and D read rows
+    rows_of: dict[int, tuple] = {}
     terms: dict[int, list[tuple[int, int]]] = {}
     neg, dual = set(), []  # |n| of the members n < 0; the n > 0 whose −n is one too
     for n in _candidate_n(field, m, table):
@@ -223,7 +240,13 @@ def _route_a(
         if not all(_spot_exps(vec, n, m, l, vals.pop(l, 0) + vd, rows) for l, vd, rows in fixed):
             continue
         for l, vl in vals.items():
-            _spot_exps(vec, n, m, l, vl, spot_kinds(field, l))
+            if special % l:
+                vec.append((l, _unit_spot_kind(x, y, n, m, l), vl, 0, 1))
+                continue
+            rows = rows_of.get(l)
+            if rows is None:
+                rows = rows_of[l] = spot_kinds(field, l)
+            _spot_exps(vec, n, m, l, vl, rows)
         if n < 0:
             neg.add(-n)
         elif n in neg and n % D:

@@ -7,7 +7,9 @@ Everything downstream only ever consults the reflex side.
 
 A spot's kind in K̃ (split, inert or ramified) depends only on the field, so
 it is decided once per (field, l) in the bounded table `spot_kinds`, which
-`classify_in_reflex_cm`, ρ and both routes for b_m(p) read.
+`classify_in_reflex_cm`, ρ and both routes for b_m(p) read. Route (a) reads it
+only over the primes of 2·D·m·D̃·norm(Δ̃): at any other prime of its scan, Δ̃
+is a unit at the one spot it needs, whose kind is one quadratic character.
 
 A validated field's relative different of K̃/F̃ is one spot over D, with
 exponent 1 (`_relative_different`), so 2 never ramifies in K̃/F̃.
@@ -218,8 +220,9 @@ def spot_kinds(field: CMFieldData, l: int) -> tuple[tuple, ...]:
     𝔡⁻¹ minus that of 2D; it is negative only over 2 and D.
 
     l is not proved prime here: every caller passes a prime already proved,
-    namely 2, the validated D, the primes of `prime_factors` and those of a
-    route's factor table. `classify_in_reflex_cm` proves a caller's l first.
+    namely 2, the validated D, the primes of `prime_factors`, and those of an
+    m's factor table that divide 2·D·m·D̃·norm(Δ̃) (route (a)) or m (route
+    (b)). `classify_in_reflex_cm` proves a caller's l first.
     """
     dt = field.delta_tilde
     rel = dict(field.rel_diff)

@@ -27,6 +27,7 @@ from cmint.cmfield import (
     build_cm_field,
     classify_in_reflex_cm,
     rho,
+    spot_kinds,
 )
 from cmint.errors import InputError, InternalConsistencyError
 from cmint.localdensity import b_l_factors
@@ -346,6 +347,45 @@ def test_route_a_matches_per_spot_scan_on_the_benchmark_field():
     assert shared >= 500
 
 
+def test_unit_spot_kind_matches_spot_kinds(monkeypatch):
+    # every (n, l) that route A classifies with one symbol gets the row that
+    # `spot_kinds` has for the spot where `split_ord` puts n + m√D̃: that kind,
+    # exponent v_l, no different and f = 1; the primes of m, of D̃ and the odd
+    # ones of norm(Δ̃) other than D keep the rows, and the runs meet each class
+    real_kind, real_exps = bm._unit_spot_kind, bm._spot_exps
+    f = norm = None
+    symbol, general = 0, Counter()
+
+    def kind(x, y, n, m, l):
+        nonlocal symbol
+        got = real_kind(x, y, n, m, l)
+        assert l > 2 and 2 * f.D * m * f.dtilde * norm % l
+        vl = ord_p(m * m * f.dtilde - n * n, l)
+        rows = spot_kinds(f, l)
+        exps = [(k, split_ord(n, m, s, vl) + shift, rel, fs) for s, k, _, shift, rel, fs, _ in rows]
+        assert [e for e in exps if e[1]] == [(got, vl, 0, 1)], (f.dtilde, m, n, l)
+        symbol += 1
+        return got
+
+    def spot_exps(vec, n, m, l, vl, rows):
+        if l not in (2, f.D):
+            cls = [c for c, v in (("m", m), ("dtilde", f.dtilde), ("norm", norm)) if v % l == 0]
+            assert cls, (f.dtilde, m, n, l)
+            general.update(cls)
+        return real_exps(vec, n, m, l, vl, rows)
+
+    monkeypatch.setattr(bm, "_unit_spot_kind", kind)
+    monkeypatch.setattr(bm, "_spot_exps", spot_exps)
+    bench = build_cm_field(13, QuadElem(QuadField(13), -21, -2))
+    runs = [(g, range(1, 31)) for g in sweep_fields()] + [(bench, range(1, 101))]
+    for f, ms in runs:
+        x, y = f.delta_tilde.x, f.delta_tilde.y
+        norm = x * x - y * y * f.dtilde
+        for m in ms:
+            _route_a(f, m, table_of(f, m))
+    assert symbol >= 40000 and min(general[c] for c in ("m", "dtilde", "norm")) >= 200, general
+
+
 def dyadic_bases():
     """A sweep field where 2 splits in F̃ and one where it is inert."""
     return [next(f for f in sweep_fields() if f.dtilde % 8 == r) for r in (1, 5)]
@@ -579,9 +619,10 @@ def bm_helpers(fn):
 
 def test_route_helpers_stay_independent():
     # a route's loop moved into a helper stays under the same rule; route A
-    # reads the table it is handed, so it reaches no `_admissible_n`
+    # reads the table it is handed, so it reaches no `_admissible_n`, and
+    # classifies the spots of a unit there with `_unit_spot_kind`
     a = bm_helpers(bm._route_a)
-    assert a.keys() == {"_candidate_n", "_spot_exps"}
+    assert a.keys() == {"_candidate_n", "_spot_exps", "_unit_spot_kind"}
     for name, code in a.items():
         assert not code_names(code) & ROUTE_A_FORBIDDEN, name
     # route B reads the table it is handed, so it reaches no helper of cmint.bm

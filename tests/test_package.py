@@ -25,6 +25,7 @@ from cmint import (
     build_cm_field,
 )
 from cmint import cli
+from cmint.numutil import prime_factors
 
 
 def lru_caches() -> dict:
@@ -89,6 +90,23 @@ def test_every_lru_cache_is_hit_within_one_command(tmp_path, monkeypatch, capsys
 
     assert hits("cmint.cmfield._build_cached", two_commands) >= 1
     capsys.readouterr()
+
+
+def test_spot_memo_holds_only_the_primes_of_2dd_norm_and_m():
+    # route A reads the kind of a spot where Δ̃ is a unit off one symbol, so
+    # over an m range the spot memo keeps rows only for the primes of
+    # 2·D·D̃·norm(Δ̃)·m, not one for each support prime (1,274 over m <= 100)
+    spot_kinds = lru_caches()["cmint.cmfield.spot_kinds"]
+    f13 = build_cm_field(13, QuadElem(QuadField(13), -21, -2))
+    x, y = f13.delta_tilde.x, f13.delta_tilde.y
+    fixed = 2 * f13.D * f13.dtilde * abs(x * x - y * y * f13.dtilde)
+    ms = range(1, 101)
+    primes = set(prime_factors(fixed)).union(*(prime_factors(m) for m in ms))
+    assert len(primes) == 26
+    spot_kinds.cache_clear()
+    for m in ms:
+        bm_report(f13, m)
+    assert spot_kinds.cache_info().currsize <= len(primes)
 
 
 FIELD_REPR = (
