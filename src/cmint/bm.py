@@ -286,6 +286,11 @@ def support_primes(field: CMFieldData, m: int) -> tuple[int, ...]:
     return _table_primes(_factor_table(m * m * field.dtilde, 4 * field.D))
 
 
+def route_b_applies(field: CMFieldData, m: int) -> bool:
+    """Route B's guard on m: squarefree and coprime to 2DD̃. It then applies at every p ∤ m."""
+    return is_squarefree(m) and gcd(m, 2 * field.D * field.dtilde) == 1
+
+
 def _route_b(field: CMFieldData, m: int, table: dict) -> dict[int, int]:
     """One scan over n computing the product formula for every p ∤ m at once.
 
@@ -335,8 +340,7 @@ def bm_report(field: CMFieldData, m: int) -> BmReport:
     stray = sorted(p for p, ts in terms.items() if p not in known and sum(t for _, t in ts))
     if stray:
         raise InternalConsistencyError(f"nonzero multiplicity outside the support primes: {stray}")
-    # route B's guard: m squarefree and coprime to 2DD̃
-    applies = is_squarefree(m) and gcd(m, 2 * field.D * field.dtilde) == 1
+    applies = route_b_applies(field, m)
     totals = _route_b(field, m, table) if applies else {}
     entries = []
     for p in support:

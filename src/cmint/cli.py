@@ -12,10 +12,8 @@ from pathlib import Path
 
 from . import cache
 from .bm import bm_report, field_header, report_json_obj, report_rows
-from .cmfield import CMFieldData, build_cm_field
+from .cmfield import CMFieldData, _build_cached
 from .errors import FieldRejected, InputError, InternalConsistencyError
-from .numutil import is_prime
-from .quadfield import QuadElem, QuadField
 
 _RANGE = re.compile(r"^(\d+)(?:-(\d+))?$")
 
@@ -83,17 +81,8 @@ def load_field(path: str, mode_override: str | None = None) -> CMFieldData:
     mode = mode_override or data.get("mode", "strict")
     if mode not in ("strict", "permissive"):
         raise FieldRejected("bad-mode", str(mode))
-    D, x, y, den = vals
-    # proved prime before anything else is done with it: `QuadField`'s squarefree
-    # test would send a composite D to `factorize`, whose Pollard rho takes about
-    # √p steps on a factor p
-    if not is_prime(D) or D % 4 != 1:
-        raise FieldRejected("D-not-valid", f"D = {D} must be a prime ≡ 1 mod 4")
-    try:
-        elem = QuadElem(QuadField(D), x, y, den)
-    except InputError as exc:
-        raise FieldRejected("invalid-delta", str(exc)) from exc
-    return build_cm_field(D, elem, mode)
+    # the field's one validator checks D, Δ and its norm, in its fixed order of slugs
+    return _build_cached(*vals, mode)
 
 
 def _report_rows(field: CMFieldData, ms: Iterable[int], use_cache: bool) -> Iterator[dict]:

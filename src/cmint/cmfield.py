@@ -3,7 +3,9 @@
 The input is a pair (D, Δ) with D a prime ≡ 1 mod 4 and Δ a totally negative
 element of O_F, F = Q(√D). The package works with K = F(√Δ) through its
 reflex data: D̃ = norm(Δ), F̃ = Q(√D̃), Δ̃ = 2Δ₀ + 2√D̃, and K̃ = F̃(√Δ̃).
-Everything downstream only ever consults the reflex side.
+Everything downstream only ever consults the reflex side. `_build_cached`
+is the one validator of (D, Δ): `build_cm_field` and the CLI's field loader
+both hand it their integers, and it proves D prime once.
 
 A spot's kind in K̃ (split, inert or ramified) depends only on the field, so
 it is decided once per (field, l) in the bounded table `spot_kinds`, which
@@ -148,9 +150,12 @@ def _relative_different(delta_tilde: QuadElem, D: int) -> tuple[tuple[PrimeSpot,
     """
     Ft = delta_tilde.field
     x, y = delta_tilde.x, delta_tilde.y
-    nrm = x * x - y * y * Ft.disc  # the norm of Δ̃, whose den is 1
+    # norm(Δ̃) = (2y/den)²·D: only the cofactor of the proved prime D is factored
+    cof, r = divmod(x * x - y * y * Ft.disc, D)
+    if r:
+        raise InternalConsistencyError(f"D = {D} must divide the norm of Δ̃")
     out = []
-    for l in sorted(set(prime_factors(nrm)) | {2}):
+    for l in sorted(set(prime_factors(cof)) | {2, D}):
         for spot in _splitting(Ft.disc, l):
             if _square_class_kind(delta_tilde, spot) != "ramified":
                 continue
@@ -162,12 +167,18 @@ def _relative_different(delta_tilde: QuadElem, D: int) -> tuple[tuple[PrimeSpot,
 
 @lru_cache(maxsize=1024)
 def _build_cached(D: int, x: int, y: int, den: int, mode: str) -> CMFieldData:
+    # D is proved prime first, as `QuadField`'s squarefree test would send a
+    # composite D to Pollard rho; past that, every check reads the reduced Δ
     if not is_prime(D) or D % 4 != 1:
         raise FieldRejected("D-not-valid", f"D = {D} must be a prime ≡ 1 mod 4")
-    delta = QuadElem(QuadField(D), x, y, den)
+    try:
+        delta = QuadElem(QuadField(D), x, y, den)
+    except InputError as exc:
+        raise FieldRejected("invalid-delta", str(exc)) from exc
+    x, y, den = delta.x, delta.y, delta.den
     if not _totally_negative(delta):
         raise FieldRejected("delta-not-totally-negative", f"Δ = ({x}+{y}√{D})/{den}")
-    dt, r = divmod(delta.x * delta.x - delta.y * delta.y * D, delta.den * delta.den)
+    dt, r = divmod(x * x - y * y * D, den * den)
     if r:
         raise InternalConsistencyError("norm of a maximal-order element is integral")
     if dt % 4 != 1:
@@ -203,17 +214,11 @@ def build_cm_field(D: int, delta: QuadElem, mode: str = "strict") -> CMFieldData
     return _build_cached(D, delta.x, delta.y, delta.den, mode)
 
 
-# the two kinds in K̃ of an odd spot where Δ̃ is a unit, each mapped to the other
-_OTHER_UNIT_KIND = {"split": "inert", "inert": "split"}
-
-
 @lru_cache(maxsize=1 << 14)
 def spot_kinds(field: CMFieldData, l: int) -> tuple[tuple, ...]:
     """Each spot of F̃ over l, in `splitting` order, as the flat row
-    (spot, its kind in K̃, its kind in F̃, shift, e_𝔡, f, label).
-
-    Over an odd l ∤ norm(Δ̃) that splits in F̃, only the first spot's kind
-    is computed; the second follows from it and (norm(Δ̃) | l).
+    (spot, its kind in K̃, its kind in F̃, shift, e_𝔡, f, label), each kind
+    in K̃ from `_square_class_kind`.
 
     e_𝔡 is the exponent of the relative different at the spot, 1 at its one
     spot over D and 0 elsewhere, and shift = e_𝔡 − v_l(2D)·e, the exponent of
@@ -227,22 +232,10 @@ def spot_kinds(field: CMFieldData, l: int) -> tuple[tuple, ...]:
     dt = field.delta_tilde
     rel = dict(field.rel_diff)
     o2d = ord_p(2 * field.D, l)
-    spots = _splitting(field.dtilde, l)
-    kinds = [_square_class_kind(dt, spots[0])]
-    if len(spots) == 2:
-        nrm = dt.x * dt.x - dt.y * dt.y * field.dtilde  # norm(Δ̃); Δ̃ has den 1
-        if l != 2 and nrm % l:
-            # Δ̃ is a unit at both spots and its two images multiply to
-            # norm(Δ̃) mod l: the second is a square exactly when the first
-            # is, if (norm(Δ̃) | l) = 1, and exactly when it is not otherwise
-            first = kinds[0]
-            kinds.append(first if kronecker(nrm, l) == 1 else _OTHER_UNIT_KIND[first])
-        else:
-            kinds.append(_square_class_kind(dt, spots[1]))
     rows = []
-    for s, kind in zip(spots, kinds):
+    for s in _splitting(field.dtilde, l):
         r = rel.get(s, 0)
-        rows.append((s, kind, s.kind, r - o2d * s.e, r, s.f, s.label))
+        rows.append((s, _square_class_kind(dt, s), s.kind, r - o2d * s.e, r, s.f, s.label))
     return tuple(rows)
 
 

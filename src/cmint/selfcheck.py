@@ -18,7 +18,7 @@ import random
 import tempfile
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from pathlib import Path
 
 from . import cache
@@ -27,10 +27,10 @@ from .applications import (
     humbert_intersection,
     igusa_denominator_bounds,
 )
-from .bm import bm_full, bm_report, intersection_number, report_rows
+from .bm import bm_full, bm_report, intersection_number, report_rows, route_b_applies
 from .cmfield import CMFieldData, build_cm_field
 from .errors import FieldRejected, InternalConsistencyError
-from .numutil import is_squarefree, primes_up_to
+from .numutil import primes_up_to
 from .quadfield import QuadElem, QuadField
 from .tmatrix import admissible_matrices
 
@@ -108,7 +108,7 @@ def check_route_agreement(fields: Iterable[CMFieldData], ms: Sequence[int]) -> i
     compared = 0
     for field in fields:
         for m in ms:
-            if not is_squarefree(m) or gcd(m, 2 * field.D * field.dtilde) != 1:
+            if not route_b_applies(field, m):
                 continue
             for e in bm_report(field, m).entries:
                 if (e.route_b is None) != (m % e.p == 0) or e.route_b not in (None, e.route_a):

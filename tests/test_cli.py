@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 import cmint.cli as cli
-from cmint import numutil, selfcheck
+from cmint import cmfield, numutil, quadfield, selfcheck
 from cmint.bm import BmEntry, BmReport
 from cmint.errors import InputError, InternalConsistencyError
 
@@ -330,6 +330,11 @@ def test_rejected_field_exit_code(tmp_path, capsys):
     assert cli.run(["bm", "--field", field, "--m", "1"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["reason"] == "norm-not-1-mod-4"
+    # Δ = (0 − 2√5)/2 is −√5, named by its reduced coordinates
+    field = write_field(tmp_path / "r.json", x=0, y=-2, den=2)
+    assert cli.run(["bm", "--field", field, "--m", "1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["reason"], err["detail"]) == ("delta-not-totally-negative", "Δ = (0+-1√5)/1")
 
 
 def test_bad_D_is_refused_as_D(tmp_path, capsys, monkeypatch):
@@ -357,20 +362,38 @@ def test_bad_D_is_refused_as_D(tmp_path, capsys, monkeypatch):
 
 
 def test_prime_D_is_not_trial_divided(tmp_path, capsys, monkeypatch):
-    # a 13-digit prime D is proved prime, never factored, by load_field and
-    # again by the field's build; Δ = −1,000,001 + √D has norm ≡ 0 mod 4
-    calls = []
-    real = numutil.factorize
+    # a 13-digit prime D is proved prime, never factored: by the field's one
+    # validator, and again by `QuadField`'s squarefree test
+    D = 1_000_000_000_061
+    factored, proved = [], []
 
-    def counting(n):
-        calls.append(n)
-        return real(n)
+    def counting(real, calls):
+        def wrapper(n):
+            calls.append(n)
+            return real(n)
 
-    monkeypatch.setattr(numutil, "factorize", counting)
-    field = write_field(tmp_path / "big.json", D=1_000_000_000_061, x=-1_000_001, y=1, den=1)
+        return wrapper
+
+    monkeypatch.setattr(numutil, "factorize", counting(numutil.factorize, factored))
+    monkeypatch.setattr(numutil, "pollard_factorize", counting(numutil.pollard_factorize, factored))
+    is_prime = counting(numutil.is_prime, proved)
+    for mod in (cli, cmfield, numutil, quadfield):
+        if hasattr(mod, "is_prime"):
+            monkeypatch.setattr(mod, "is_prime", is_prime)
+    # Δ = −1,000,001 + √D has norm ≡ 0 mod 4 and is refused
+    field = write_field(tmp_path / "big.json", D=D, x=-1_000_001, y=1, den=1)
     assert cli.run(["bm", "--field", field, "--m", "1", "--no-cache"]) == 2
     assert json.loads(capsys.readouterr().err)["reason"] == "norm-not-1-mod-4"
-    assert calls == []
+    assert factored == []
+    # Δ = (−1,000,009 + √D)/2 is accepted; its composite D̃ is still factored
+    factored.clear()
+    proved.clear()
+    cmfield._build_cached.cache_clear()
+    path = write_field(tmp_path / "ok.json", D=D, x=-1_000_009, y=1, den=2, mode="permissive")
+    assert cli.load_field(path).dtilde == 4_500_005
+    assert 4_500_005 in factored
+    assert not [n for n in factored if n % D == 0], factored
+    assert proved.count(D) <= 2, proved
 
 
 def test_bad_m_specification(tmp_path, cache_dir, capsys):

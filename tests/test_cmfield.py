@@ -106,6 +106,10 @@ def test_rejections():
     assert e.value.reason == "delta-not-totally-negative"
 
     with pytest.raises(FieldRejected) as e:
+        build_cm_field(5, QuadElem(F5, 0, -2, 2))  # −√5, named by its reduced coordinates
+    assert (e.value.reason, e.value.detail) == ("delta-not-totally-negative", "Δ = (0+-1√5)/1")
+
+    with pytest.raises(FieldRejected) as e:
         build_cm_field(5, QuadElem(F5, -21, -7, 2), mode="permissive")
     assert e.value.reason == "norm-a-square"  # norm 49: biquadratic
 
@@ -385,9 +389,9 @@ def test_spot_kinds_rows():
 
 
 def test_spot_kinds_derives_the_second_split_kind():
-    # over an odd l ∤ norm(Δ̃) the second split spot's kind comes from the
-    # first's and (norm(Δ̃) | l); over l | norm(Δ̃) both are computed. Either
-    # way each kind is the one `_square_class_kind` gives for its spot
+    # `spot_kinds` takes every spot's kind from `_square_class_kind`; both
+    # kinds over an odd split l are checked, over the l ∤ norm(Δ̃) (where the
+    # second kind follows from the first and (norm(Δ̃) | l)) and the l | norm(Δ̃)
     fields = sweep_fields() + [
         build_cm_field(5, QuadElem(F5, -25, -3, 2), mode="permissive"),
         build_cm_field(17, QuadElem(QuadField(17), -17, -2), mode="permissive"),
