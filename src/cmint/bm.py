@@ -121,7 +121,7 @@ def _factor_table(m2dt: int, div: int) -> dict[int, tuple[tuple[int, int], ...]]
             a = m2dt % l
             if a == 0 or l == 2:
                 roots = (a,)
-            elif kronecker(a, l) == 1:
+            elif pow(a, l >> 1, l) == 1:  # Euler's criterion: a is a square mod l
                 s = _sqrt_mod_prime(a, l)
                 roots = (s, l - s)
             else:
@@ -228,18 +228,29 @@ def _route_a(
     D = field.D
     if any(s.l != D for s, _ in field.rel_diff):
         raise InputError("the relative different must lie over D")
-    fixed = ((2, 2, spot_kinds(field, 2)), (D, 1, spot_kinds(field, D)))  # l, v_l(4D), rows
+    rows_2, rows_d = spot_kinds(field, 2), spot_kinds(field, D)
     x, y = field.delta_tilde.x, field.delta_tilde.y
     special = m * field.dtilde * (x * x - y * y * field.dtilde)  # its primes, 2 and D read rows
     rows_of: dict[int, tuple] = {}
     terms: dict[int, list[tuple[int, int]]] = {}
     neg, dual = set(), []  # |n| of the members n < 0; the n > 0 whose −n is one too
     for n in _candidate_n(field, m, table):
-        vals = dict(table[abs(n)])
+        fac = table[abs(n)]
+        v2 = vd = 0
+        for l, e in fac:
+            if l == 2:
+                v2 = e
+            elif l == D:
+                vd = e
         vec = []
-        if not all(_spot_exps(vec, n, m, l, vals.pop(l, 0) + vd, rows) for l, vd, rows in fixed):
+        # v_l(m²D̃ − n²) is the entry's v_l plus v_l(4D): 2 at l = 2, 1 at l = D
+        if not (
+            _spot_exps(vec, n, m, 2, v2 + 2, rows_2) and _spot_exps(vec, n, m, D, vd + 1, rows_d)
+        ):
             continue
-        for l, vl in vals.items():
+        for l, vl in fac:
+            if l == 2 or l == D:
+                continue
             if special % l:
                 vec.append((l, _unit_spot_kind(x, y, n, m, l), vl, 0, 1))
                 continue

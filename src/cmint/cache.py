@@ -67,8 +67,12 @@ def read(base: Path, head: dict) -> dict | None:
 def write(base: Path, rows: dict) -> None:
     """Store the report rows `rows`; a cache dir that cannot be written is skipped."""
     path = report_path(base, rows)
+    data = json.dumps(rows, separators=(",", ":")).encode()
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(rows, separators=(",", ":")))
+        try:
+            path.write_bytes(data)
+        except FileNotFoundError:  # the first file of the version: make its directory
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
     except OSError:
         pass

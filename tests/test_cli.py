@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
@@ -7,7 +11,7 @@ import weakref
 import pytest
 
 import cmint.cli as cli
-from cmint import cmfield, numutil, quadfield, selfcheck
+from cmint import cache, cmfield, numutil, quadfield, selfcheck
 from cmint.bm import BmEntry, BmReport
 from cmint.errors import InputError, InternalConsistencyError
 
@@ -297,6 +301,56 @@ def test_unwritable_cache_dir_still_prints(tmp_path, monkeypatch, capsys, comman
     out = capsys.readouterr()
     assert out.out == want and out.err == ""
     assert blocker.read_text() == ""
+
+
+def test_cache_write_makes_its_version_dir(tmp_path):
+    # the file is opened first and its `v3/` made only when it is missing:
+    # under a fresh base, and again after it was removed between two writes
+    base = tmp_path / "cache"
+    head = {"D": 5, "delta": {"x": -13, "y": 1, "den": 2}, "mode": "strict"}
+    for m in (1, 2):
+        rows = {**head, "m": m, "flags": [], "entries": [[2, 2, 2, [-1, 2]]]}
+        cache.write(base, rows)
+        path = report_file(base, m)
+        assert path.read_bytes() == json.dumps(rows, separators=(",", ":")).encode()
+        assert [p.name for p in base.iterdir()] == ["v3"]
+        shutil.rmtree(base / "v3")
+
+
+def test_one_process_shares_one_parser(tmp_path, monkeypatch, capsys):
+    # each command run after another in one process prints what it prints as
+    # a fresh `python -m cmint.cli`, and the parser is built once
+    field = write_field(tmp_path / "f.json")
+    commands = [
+        (["bm", "--field", field], 2, "usage: cmint bm"),  # no --m: argparse exits
+        (["bm", "--field", field, "--m", "1"], 0, ""),
+        (["bm", "--field", field, "--m", "1-x"], 2, '{"error": "invalid-input"'),
+        (["intersect", "--field", field, "--m", "1-3", "--format", "csv"], 0, ""),
+    ]
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal width
+    build, builds = cli._build_parser, []
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    monkeypatch.setattr(cli, "_parser", None)
+    for i, (argv, code, err) in enumerate(commands):
+        monkeypatch.setenv("CMINT_CACHE_DIR", str(tmp_path / f"cache-{i}"))
+        try:
+            rc = cli.run(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        got = capsys.readouterr()
+        env["CMINT_CACHE_DIR"] = str(tmp_path / f"fresh-{i}")
+        fresh = subprocess.run([sys.executable, "-m", "cmint.cli", *argv], env=env, capture_output=True)
+        # decoded without newline translation: the CSV rows end in \r\n
+        want = (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode())
+        assert (rc, got.out, got.err) == want
+        assert rc == code and got.err.startswith(err), argv
+    assert len(builds) == 1
 
 
 def test_missing_field_file(tmp_path, capsys):
