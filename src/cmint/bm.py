@@ -10,7 +10,7 @@ the primes of 2·D·m·D̃·norm(Δ̃) read the spot table `spot_kinds`. Route (
 the closed product formula over primes dividing (m²D̃ − n²)/(4D), valid for
 squarefree m coprime to 2DD̃p. Each route is one scan over n per m that
 yields every prime's value, and every scan walks only the residue classes of
-n with 4D | m²D̃ − n² (`_admissible_n`). The routes share only that range of n
+n with 4D | m²D̃ − n² (`_roots_mod`). The routes share only that range of n
 and the m's factor table (`_factor_table`), which factors every
 (m²D̃ − n²)/4D with one sieve; `bm_report` builds it once per m and hands it
 to route (a), the support primes and route (b). Whenever route (b) applies,
@@ -27,11 +27,11 @@ from .errors import InputError, InternalConsistencyError
 from .frozen import Frozen
 from .localdensity import b_l_factors
 from .numutil import (
-    _sqrt_mod_prime,
+    TRIAL_LIMIT,
     is_squarefree,
-    kronecker,
     pollard_factorize,
     primes_up_to,
+    sqrts_mod_prime,
 )
 from .quadfield import split_ord
 from .tmatrix import admissible_matrices
@@ -62,72 +62,52 @@ class BmReport(Frozen):
         object.__setattr__(self, "flags", flags)
 
 
-def _admissible_n(m2dt: int, div: int, lo: int, hi: int) -> list[int]:
-    """The n in [lo, hi], ascending, with div | m2dt − n².
+def _roots_mod(a: int, div: int) -> list[int]:
+    """The roots of n² ≡ a (mod div) in [0, div), ascending.
 
-    Steps through the roots of n² ≡ m2dt (mod div). div = 2^k·q with k <= 2 and
-    q 1 or an odd prime, as every caller's 4D is: the roots mod 2^k come from a
-    scan of at most 4 residues, those mod q from `kronecker` and
-    `_sqrt_mod_prime`, and CRT joins them, in ascending order.
+    div = 2^k·q with k <= 2 and q 1 or an odd prime, as every caller's 4D is:
+    the roots mod 2^k come from a scan of at most 4 residues, those mod q from
+    `sqrts_mod_prime`, and CRT joins them.
     """
     two = div & -div
     q = div // two
-    roots = [r for r in range(two) if (m2dt - r * r) % two == 0]
+    roots = [r for r in range(two) if (a - r * r) % two == 0]
     if q > 1:
-        a = m2dt % q
-        if a == 0:
-            odd = (0,)
-        elif kronecker(a, q) == 1:
-            s = _sqrt_mod_prime(a, q)
-            odd = (s, q - s)
-        else:
-            odd = ()
         inv = pow(two, -1, q)
-        roots = sorted(r + two * ((s - r) * inv % q) for r in roots for s in odd)
-    return [
-        n
-        for base in range(lo - lo % div, hi + 1, div)
-        for n in (base + r for r in roots)
-        if lo <= n <= hi
-    ]
-
-
-_SIEVE_LIMIT = 100_000  # the largest prime the sieve divides out, as in `factorize`
+        roots = sorted(r + two * ((s - r) * inv % q) for r in roots for s in sqrts_mod_prime(a, q))
+    return roots
 
 
 def _factor_table(m2dt: int, div: int) -> dict[int, tuple[tuple[int, int], ...]]:
     """`factorize((m2dt − n²)/div)` for every admissible 0 <= n < √m2dt, by n.
 
-    One polynomial-value sieve over the n of `_admissible_n`. A prime l ∤ div
-    divides the quotient exactly when n ≡ ±√m2dt (mod l), which within the
-    class n ≡ r (mod div) is one class of n // div mod l (CRT), so it is
-    divided out along an arithmetic progression of the list. A prime l | div
-    is tried on every value. Every prime up to the bound is divided out, so a
+    One polynomial-value sieve over the n in the classes of `_roots_mod`. A
+    prime l ∤ div divides the quotient exactly when n ≡ ±√m2dt (mod l), which
+    within the class n ≡ r (mod div) is one class of n // div mod l (CRT), so
+    it is divided out along an arithmetic progression of the list. A prime
+    l | div is tried on every value. Every prime up to the bound is divided out, so a
     cofactor below (bound + 1)² is 1 or prime; a larger one needs the bound
     at its limit, so it has no prime factor up to the limit and goes straight
     to `pollard_factorize`.
     """
-    ns = _admissible_n(m2dt, div, 0, isqrt(m2dt - 1))
+    roots = _roots_mod(m2dt, div)
+    nmax = isqrt(m2dt - 1)
+    # n = r_j + div·k sits at k·width + j, r_j the j-th root
+    width = len(roots)
+    ns = [base + r for base in range(0, nmax + 1, div) for r in roots if base + r <= nmax]
     rest = [(m2dt - n * n) // div for n in ns]
     facs: list[list[tuple[int, int]]] = [[] for _ in ns]
     size = len(ns)
-    # n = r_j + div·k sits at k·width + j, r_j the j-th root of n² ≡ m2dt mod div
-    width = next((i for i, n in enumerate(ns) if n >= div), size)
-    bound = min(isqrt(m2dt // div), _SIEVE_LIMIT)
+    bound = min(isqrt(m2dt // div), TRIAL_LIMIT)
     for l in primes_up_to(bound):
         if div % l == 0:
             starts, step = (0,), 1
         else:
-            a = m2dt % l
-            if a == 0 or l == 2:
-                roots = (a,)
-            elif pow(a, l >> 1, l) == 1:  # Euler's criterion: a is a square mod l
-                s = _sqrt_mod_prime(a, l)
-                roots = (s, l - s)
-            else:
+            sqrts = sqrts_mod_prime(m2dt, l)
+            if not sqrts:
                 continue
             inv = pow(div, -1, l)
-            starts = [(s - r) * inv % l * width + j for j, r in enumerate(ns[:width]) for s in roots]
+            starts = [(s - r) * inv % l * width + j for j, r in enumerate(roots) for s in sqrts]
             step = l * width
         for start in starts:
             for i in range(start, size, step):

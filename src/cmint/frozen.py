@@ -5,9 +5,8 @@ A subclass names its fields, in constructor order, in both `__slots__` and
 Instances then compare, hash and print as the fields tuple does: equal only
 to an instance of the same class with equal fields, `hash` of the fields
 tuple, and a `Name(field=value, ...)` repr. Assignment raises
-`AttributeError`. Two classes hashed on the hot paths give the same hash
-faster: `PrimeSpot` defines `__hash__` explicitly, and `CMFieldData` takes it
-once and stores it.
+`AttributeError`. `CMFieldData`, which keys every per-field table, takes
+the same hash once and stores it.
 """
 
 from __future__ import annotations

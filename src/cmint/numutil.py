@@ -8,6 +8,10 @@ from math import gcd, isqrt
 
 from .errors import InputError
 
+# the largest trial divisor: `factorize` and the factor-table sieve divide out
+# every prime below it and leave the rest to `pollard_factorize`
+TRIAL_LIMIT = 100_000
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # ψ_k (OEIS A014233): the least odd composite that is a strong pseudoprime to
@@ -57,8 +61,24 @@ def kronecker(a: int, n: int) -> int:
     return k if n == 1 else 0
 
 
+def sqrts_mod_prime(a: int, l: int) -> tuple[int, ...]:
+    """The square roots of a modulo the proved prime l, ascending in [0, l).
+
+    () when a is not a square mod l, (0,) when l | a, (a % 2,) at l = 2 and
+    (r, l − r) otherwise. The package's one residuosity test before a root:
+    Euler's criterion, one `pow`.
+    """
+    a %= l
+    if a == 0 or l == 2:
+        return (a,)
+    if pow(a, l >> 1, l) != 1:
+        return ()
+    r = _sqrt_mod_prime(a, l)
+    return (r, l - r) if 2 * r < l else (l - r, r)
+
+
 def _sqrt_mod_prime(a: int, p: int) -> int:
-    """A square root of the unit residue a modulo the odd prime p."""
+    """A square root of the unit square a modulo the odd prime p."""
     a %= p
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
@@ -179,7 +199,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             n //= p
     f, i = 7, 0
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    while f * f <= n and f < 100_000:
+    while f * f <= n and f < TRIAL_LIMIT:
         if n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f

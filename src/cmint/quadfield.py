@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import InputError, InternalConsistencyError
 from .frozen import Frozen
-from .numutil import _sqrt_mod_prime, is_prime, is_squarefree, kronecker, ord_p
+from .numutil import is_prime, is_squarefree, ord_p, sqrts_mod_prime
 
 
 class QuadField(Frozen):
@@ -72,9 +72,6 @@ class PrimeSpot(Frozen):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "label", label)
 
-    def __hash__(self) -> int:
-        return hash((self.disc, self.l, self.kind, self.label))
-
     @property
     def f(self) -> int:
         return 2 if self.kind == "inert" else 1
@@ -91,17 +88,15 @@ def _need_prime(l: int) -> None:
 
 
 def _splitting(disc: int, l: int) -> tuple[PrimeSpot, ...]:
-    # disc comes from a validated QuadField; l must already be proved prime
-    k = kronecker(disc, l)
-    if k == 0:
-        return (PrimeSpot(disc, l, "ramified"),)
-    if k == -1:
-        return (PrimeSpot(disc, l, "inert"),)
+    # disc ≡ 1 mod 4 comes from a validated QuadField; l must already be proved prime.
+    # 2 splits when disc ≡ 1 mod 8, its spots labelled by √disc mod 4
     if l == 2:
-        return (PrimeSpot(disc, 2, "split", 1), PrimeSpot(disc, 2, "split", 3))
-    r = _sqrt_mod_prime(disc, l)
-    r = min(r, l - r)
-    return (PrimeSpot(disc, l, "split", r), PrimeSpot(disc, l, "split", l - r))
+        roots = (1, 3) if disc % 8 == 1 else ()
+    else:
+        roots = sqrts_mod_prime(disc, l)
+    if len(roots) == 2:
+        return tuple(PrimeSpot(disc, l, "split", r) for r in roots)
+    return (PrimeSpot(disc, l, "ramified" if roots else "inert"),)
 
 
 def splitting(field: QuadField, l: int) -> tuple[PrimeSpot, ...]:

@@ -10,8 +10,8 @@ import pytest
 from cmint import bm, numutil
 from cmint.bm import (
     BmReport,
-    _admissible_n,
     _factor_table,
+    _roots_mod,
     _route_a,
     _route_b,
     bm_full,
@@ -266,7 +266,9 @@ def shared_split_factors(field, m):
     count = 0
     m2dt = m * m * field.dtilde
     nmax = isqrt(m2dt - 1)
-    for n in _admissible_n(m2dt, 4 * field.D, -nmax, nmax):
+    for n in range(-nmax, nmax + 1):
+        if (m2dt - n * n) % (4 * field.D):
+            continue
         for l in prime_factors(gcd(n, m)):
             if l > 2 and splitting(field.reflex, l)[0].kind == "split":
                 count += 1
@@ -472,31 +474,40 @@ def test_split_ord_matches_ord_at():
     assert zero >= 300 and min(kinds.values()) >= 1700, (zero, kinds)
 
 
-def test_admissible_n_matches_filter():
+def test_roots_mod_matches_filter():
     # div = 2^k·q, k <= 2 and q 1 or an odd prime: the roots mod q come from a
     # square root, not a scan, so a 13-digit q costs no more than a small one
     rng = random.Random(43)
-    big = (4 * 1_000_033, 4 * 1_000_000_000_061)
-    for _ in range(400):
-        div = rng.choice((1, 2, 5, 13, 20, 52, 68, 4 * 389, 4 * 1009, *big))
-        m2dt = rng.randint(1, 10**7)
-        if div in big and rng.random() < 0.75:
-            # plant a root n in -3000..9000, where the windows lie
-            m2dt = rng.randint(-3000, 9000) ** 2 + div * rng.randint(1, 10**6)
-        lo = rng.randint(-3000, 3000)
-        hi = lo + rng.randint(-2, 6000)
-        want = [n for n in range(lo, hi + 1) if (m2dt - n * n) % div == 0]
-        assert _admissible_n(m2dt, div, lo, hi) == want, (m2dt, div, lo, hi)
+    for div in (1, 2, 5, 13, 20, 52, 68, 4 * 389, 4 * 1009):
+        q = div // (div & -div)
+        for m2dt in [rng.randint(1, 10**7) for _ in range(40)] + [q * rng.randint(1, 10**4)]:
+            want = [r for r in range(div) if (m2dt - r * r) % div == 0]
+            assert _roots_mod(m2dt, div) == want, (m2dt, div)
+    # past a scan of all residues, the roots are checked on windows of n
+    for div in (4 * 1_000_033, 4 * 1_000_000_000_061):
+        for _ in range(100):
+            m2dt = rng.randint(1, 10**7)
+            if rng.random() < 0.75:
+                # plant a root n in -3000..9000, where the windows lie
+                m2dt = rng.randint(-3000, 9000) ** 2 + div * rng.randint(1, 10**6)
+            roots = _roots_mod(m2dt, div)
+            assert roots == sorted(set(roots)) and all(0 <= r < div for r in roots)
+            lo = rng.randint(-3000, 3000)
+            hi = lo + rng.randint(-2, 6000)
+            want = [n for n in range(lo, hi + 1) if (m2dt - n * n) % div == 0]
+            assert [n for n in range(lo, hi + 1) if n % div in roots] == want, (m2dt, div, lo)
     # q | m2dt: the one root mod q is 0
     for q in (1_000_033, 1_000_000_000_061):
         for m2dt, lo, count in ((28 * q, -50, 1), (q * (q + 4), q - 50, 1), (3 * q, -50, 0)):
+            roots = _roots_mod(m2dt, 4 * q)
             want = [n for n in range(lo, lo + 101) if (m2dt - n * n) % (4 * q) == 0]
-            assert len(want) == count and _admissible_n(m2dt, 4 * q, lo, lo + 100) == want
+            assert len(want) == count
+            assert [n for n in range(lo, lo + 101) if n % (4 * q) in roots] == want
 
 
 def assert_table_is_factorize(m2dt, div):
     table = _factor_table(m2dt, div)
-    assert list(table) == _admissible_n(m2dt, div, 0, isqrt(m2dt - 1))
+    assert list(table) == [n for n in range(isqrt(m2dt - 1) + 1) if (m2dt - n * n) % div == 0]
     for n, fac in table.items():
         assert fac == factorize((m2dt - n * n) // div), (m2dt, div, n)
     return len(table)
@@ -563,7 +574,8 @@ def test_reports_send_no_quotient_to_factorize(monkeypatch):
     quotients = {
         (m * m * f.dtilde - n * n) // (4 * f.D)
         for m in ms
-        for n in _admissible_n(m * m * f.dtilde, 4 * f.D, 0, isqrt(m * m * f.dtilde - 1))
+        for n in range(isqrt(m * m * f.dtilde - 1) + 1)
+        if (m * m * f.dtilde - n * n) % (4 * f.D) == 0
     } - set(ms)
     assert len(quotients) > 500 and not quotients & set(seen)
 
@@ -619,7 +631,7 @@ def bm_helpers(fn):
 
 def test_route_helpers_stay_independent():
     # a route's loop moved into a helper stays under the same rule; route A
-    # reads the table it is handed, so it reaches no `_admissible_n`, and
+    # reads the table it is handed, so it reaches no `_roots_mod`, and
     # classifies the spots of a unit there with `_unit_spot_kind`
     a = bm_helpers(bm._route_a)
     assert a.keys() == {"_candidate_n", "_spot_exps", "_unit_spot_kind"}

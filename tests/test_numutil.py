@@ -10,9 +10,11 @@ from cmint.numutil import (
     is_perfect_square,
     is_prime,
     is_squarefree,
+    kronecker,
     ord_p,
     prime_factors,
     primes_up_to,
+    sqrts_mod_prime,
 )
 
 
@@ -100,6 +102,36 @@ def test_ord_p():
     assert ord_p(40, 5) == 1
     assert ord_p(-40, 2) == 3
     assert ord_p(7, 3) == 0
+
+
+def test_sqrts_mod_prime_matches_brute_force():
+    # every prime below 300, l = 2 among them, and every a in [−l, 3l): so l | a,
+    # negative a and a past l are all met
+    for l in primes_up_to(300):
+        roots: dict[int, list[int]] = {}
+        for r in range(l):
+            roots.setdefault(r * r % l, []).append(r)
+        for a in range(-l, 3 * l):
+            assert sqrts_mod_prime(a, l) == tuple(roots.get(a % l, ())), (a, l)
+
+
+def test_sqrts_mod_prime_large():
+    # primes near 10^12 and of 40 digits in each class mod 8, so Tonelli–Shanks
+    # (l ≡ 1 mod 8) and both shortcuts are met; squares have two roots, a
+    # non-square (by the Kronecker symbol) none, and a multiple of l one
+    rng = random.Random(30)
+    for start in (10**12, 10**39):
+        for cls in (1, 3, 5, 7):
+            l = next(l for l in range(start + cls, start + 10**5, 8) if is_prime(l))
+            assert sqrts_mod_prime(5 * l, l) == (0,)
+            for _ in range(20):
+                x = rng.randrange(1, l)
+                roots = sqrts_mod_prime(x * x - l, l)
+                assert roots == tuple(sorted({x, l - x})), (x, l)
+                a = rng.randrange(-l, 2 * l)
+                roots = sqrts_mod_prime(a, l)
+                assert len(roots) == {1: 2, 0: 1, -1: 0}[kronecker(a, l)], (a, l)
+                assert list(roots) == sorted(roots) and all(r * r % l == a % l for r in roots)
 
 
 def test_factorize_seeds_rho_only_for_composite_cofactors(monkeypatch):
