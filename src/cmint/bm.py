@@ -12,9 +12,14 @@ squarefree m coprime to 2DD̃p. Each route is one scan over n per m that
 yields every prime's value, and every scan walks only the residue classes of
 n with 4D | m²D̃ − n² (`_roots_mod`). The routes share only that range of n
 and the m's factor table (`_factor_table`), which factors every
-(m²D̃ − n²)/4D with one sieve; `bm_report` builds it once per m and hands it
-to route (a), the support primes and route (b). Whenever route (b) applies,
-the two are compared and a mismatch is a hard error.
+(m²D̃ − n²)/4D with one sieve; `report_rows` builds it once per m and hands
+it to route (a), the support primes and route (b). Whenever route (b) applies,
+the two are compared and a mismatch is a hard error. Route (b) multiplies
+the factors of each matrix T once and serves every prime from that product.
+
+`report_rows` returns the report as rows, the one shape the cache stores and
+the CLI prints from; `bm_report` wraps the same rows in `BmEntry` and
+`BmReport` for library callers.
 """
 
 from __future__ import annotations
@@ -286,39 +291,58 @@ def _route_b(field: CMFieldData, m: int, table: dict) -> dict[int, int]:
     """One scan over n computing the product formula for every p ∤ m at once.
 
     Needs m squarefree and coprime to 2DD̃, and its factor table at 4D. Every
-    T contributes to each prime p | quot through its local factor at l = p
-    times the factors at the other l | quot, so each factor is evaluated once
-    per (T, l) as the pair (value if l = p, value if l ≠ p). A p ∤ m missing
-    from the result has b_m(p) = 0.
+    T contributes to each prime p ∤ m of the quotient (e_p + 1) times its
+    local factor at l = p times the factors at the other l | quot, so each
+    factor is evaluated once per (T, l) as the pair (value if l = p, value if
+    l ≠ p). The values if l ≠ p are multiplied once per T, their zeros
+    counted apart: with none, p's term divides p's own value out of the
+    product; with one, at l₀, only p = l₀ can have a nonzero term; with more,
+    every term is 0. A p ∤ m missing from the result has b_m(p) = 0.
     """
     totals: dict[int, int] = {}
     for n, fac in table.items():
-        targets = [(p, e) for p, e in fac if m % p]
-        if n == 0 or not targets:
+        if n == 0 or not any(m % p for p, _ in fac):
             continue
         # t_l = v_l(quot) − 2·v_l(m), and v_l(m) is 0 or 1 for squarefree m
         t_ls = [(l, e if m % l else e - 2) for l, e in fac]
         for T in admissible_matrices(field, m, n):
-            at_p: dict[int, int] = {}
-            off_p: dict[int, int] = {}
-            for l, t_l in t_ls:
-                at_p[l], off_p[l] = b_l_factors(field, T, l, t_l)
-            for p, e in targets:
-                term = at_p[p]
-                for l, v in off_p.items():
-                    if l != p:
-                        term *= v
-                totals[p] = totals.get(p, 0) + (e + 1) * term
+            factors = [b_l_factors(field, T, l, t_l) for l, t_l in t_ls]
+            off, zero_at = 1, []
+            for i, (_, v) in enumerate(factors):
+                if v:
+                    off *= v
+                else:
+                    zero_at.append(i)
+            if not zero_at:
+                for (p, e), (at_p, v) in zip(fac, factors):
+                    if at_p and m % p:
+                        totals[p] = totals.get(p, 0) + (e + 1) * at_p * (off // v)
+            elif len(zero_at) == 1:
+                (p, e), (at_p, _) = fac[zero_at[0]], factors[zero_at[0]]
+                if at_p and m % p:
+                    totals[p] = totals.get(p, 0) + (e + 1) * at_p * off
     return totals
 
 
-def bm_report(field: CMFieldData, m: int) -> BmReport:
-    """Both routes for every support prime, cross-checked.
+def field_header(field: CMFieldData) -> dict:
+    """The {D, delta, mode} head of a report and of every CLI payload about `field`."""
+    d = field.delta
+    return {"D": field.D, "delta": {"x": d.x, "y": d.y, "den": d.den}, "mode": field.mode}
+
+
+def report_rows(field: CMFieldData, m: int) -> dict:
+    """Both routes for every support prime, cross-checked, as rows.
+
+    The rows are the report's head, its flags and one row per support prime,
+    [p, b, route_b or None, [n₁, t₁, n₂, t₂, …]]: route (a)'s value b, route
+    (b)'s where it applies, and route (a)'s signed n and terms. The cache
+    stores them and the CLI prints from them; route (a) is b, so it has no
+    column.
 
     Route (a) reads the same table at 4D, so a nonzero term at a prime outside
     the support is an internal error.
 
-    Not memoized, so a report the caller drops is freed, as is the m's one
+    Not memoized, so rows the caller drops are freed, as is the m's one
     factor table that both routes read; the CLI's cache files are the report
     memo.
     """
@@ -327,23 +351,33 @@ def bm_report(field: CMFieldData, m: int) -> BmReport:
     table = _factor_table(m * m * field.dtilde, 4 * field.D)
     terms, flags = _route_a(field, m, table)
     support = _table_primes(table)
-    known = set(support)
-    stray = sorted(p for p, ts in terms.items() if p not in known and sum(t for _, t in ts))
+    stray = sorted(p for p in terms.keys() - set(support) if sum(t for _, t in terms[p]))
     if stray:
         raise InternalConsistencyError(f"nonzero multiplicity outside the support primes: {stray}")
     applies = route_b_applies(field, m)
     totals = _route_b(field, m, table) if applies else {}
     entries = []
     for p in support:
-        per_n = tuple(terms.get(p, ()))
-        a_val = sum(t for _, t in per_n)
+        per_n = terms.get(p)
+        flat = list(chain.from_iterable(per_n)) if per_n else []
+        a_val = sum(flat[1::2])
         b_val = totals.get(p, 0) if applies and m % p else None
         if b_val is not None and b_val != a_val:
             raise InternalConsistencyError(
                 f"route disagreement at p={p}, m={m}: {a_val} (definition) vs {b_val} (product)"
             )
-        entries.append(BmEntry(p, a_val, a_val, b_val, per_n))
-    return BmReport(field, m, tuple(entries), flags)
+        entries.append([p, a_val, b_val, flat])
+    return {**field_header(field), "m": m, "flags": list(flags), "entries": entries}
+
+
+def bm_report(field: CMFieldData, m: int) -> BmReport:
+    """`report_rows` as a `BmReport`, one `BmEntry` per row, for library callers."""
+    rows = report_rows(field, m)
+    entries = tuple(
+        BmEntry(p, b, b, route_b, tuple(zip(flat[::2], flat[1::2])))
+        for p, b, route_b, flat in rows["entries"]
+    )
+    return BmReport(field, m, entries, tuple(rows["flags"]))
 
 
 def bm_full(field: CMFieldData, m: int) -> LogCombo:
@@ -361,24 +395,6 @@ def intersection_number(field: CMFieldData, m: int) -> LogCombo:
     from .logcombo import LogCombo
 
     return LogCombo.from_dict({e.p: Fraction(e.b, 2) for e in bm_report(field, m).entries})
-
-
-def field_header(field: CMFieldData) -> dict:
-    """The {D, delta, mode} head of a report and of every CLI payload about `field`."""
-    d = field.delta
-    return {"D": field.D, "delta": {"x": d.x, "y": d.y, "den": d.den}, "mode": field.mode}
-
-
-def report_rows(rep: BmReport) -> dict:
-    """The report as rows: its head, its flags and one row per entry,
-    [p, b, route_b or None, [n₁, t₁, n₂, t₂, …]]. The cache stores it, and
-    the CLI reads its output from it; route (a) is b, so it has no column."""
-    return {
-        **field_header(rep.field),
-        "m": rep.m,
-        "flags": list(rep.flags),
-        "entries": [[e.p, e.b, e.route_b, list(chain.from_iterable(e.per_n))] for e in rep.entries],
-    }
 
 
 def report_json_obj(rows: dict) -> dict:

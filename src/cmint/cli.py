@@ -11,7 +11,7 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import cache
-from .bm import bm_report, field_header, report_json_obj, report_rows
+from .bm import field_header, report_json_obj, report_rows
 from .cmfield import CMFieldData, _build_cached
 from .errors import FieldRejected, InputError, InternalConsistencyError
 
@@ -91,7 +91,7 @@ def _report_rows(field: CMFieldData, ms: Iterable[int], use_cache: bool) -> Iter
     for m in ms:
         rows = cache.read(base, {**field_header(field), "m": m}) if use_cache else None
         if rows is None:
-            rows = report_rows(bm_report(field, m))
+            rows = report_rows(field, m)
             if use_cache:
                 cache.write(base, rows)
         yield rows

@@ -4,7 +4,8 @@
 product-formula route for every prime p at once: p enters only through
 whether l = p, so the factor is returned as the pair (value if l = p, value
 if l ≠ p). It reads the Hilbert symbol (−α, l)_l of the unit α that
-`_alpha_unit` finds as the Kronecker symbol (−α | l).
+`_alpha_unit` finds as the Kronecker symbol (−α | l), which
+`_minus_alpha_symbol` evaluates for the prime l directly.
 """
 
 from __future__ import annotations
@@ -26,17 +27,29 @@ def _alpha_unit(T: TMatrix, l: int) -> int:
     the form is even (l = 2). With s = l^v_l(q) the l-part of the denominator
     q, the entries are the numerators over s divided by the l-unit q/s.
     """
-    s = l ** ord_p(T.q, l)
     a, b, c = T.num
-    if a % s or b % s or c % s:
-        raise InternalConsistencyError(f"T is not integral at {l}")
-    a, b, c = a // s, b // s, c // s
-    q = T.q // s
+    q = T.q
+    if q % l == 0:  # else s = 1
+        s = l ** ord_p(q, l)
+        if a % s or b % s or c % s:
+            raise InternalConsistencyError(f"T is not integral at {l}")
+        a, b, c, q = a // s, b // s, c // s, q // s
     modulus = 8 if l == 2 else l
     u = c if c % l else a if a % l else a + 2 * b + c
     if u % l == 0:
         raise InternalConsistencyError(f"no unit represented mod {modulus}")
     return u * pow(q, -1, modulus) % modulus
+
+
+def _minus_alpha_symbol(alpha: int, l: int) -> int:
+    """(−α | l) for a prime l and an l-unit α, as `_alpha_unit` returns it.
+
+    At odd l it is Euler's criterion on −α; at l = 2 it is (α | 2), since
+    −1 ≡ 7 (mod 8) has symbol 1, which is 1 exactly when α ≡ ±1 (mod 8).
+    """
+    if l == 2:
+        return 1 if alpha % 8 in (1, 7) else -1
+    return 1 if pow(-alpha, l >> 1, l) == 1 else -1
 
 
 def _reflex_split_factor(field: CMFieldData, l: int) -> int:
@@ -63,7 +76,7 @@ def b_l_factors(field: CMFieldData, T: TMatrix, l: int, t_l: int) -> tuple[int, 
     if m % l == 0 and t_l == 0:
         v = _reflex_split_factor(field, l)
         return v, v
-    h = kronecker(-_alpha_unit(T, l), l)  # (−α, l)_l for the unit α
+    h = _minus_alpha_symbol(_alpha_unit(T, l), l)  # (−α, l)_l for the unit α
     if m % l:
         at_p = (1 - h) // 2 if t_l % 2 else 0
         if h == 1:

@@ -207,7 +207,7 @@ WORKED_ROWS = (
 def check_cache_roundtrip() -> int:
     """The worked report's rows are stored as the locked bytes and read back
     equal; `{}` and a file of v2-shaped entry objects are misses."""
-    rows = report_rows(bm_report(worked_field(), 1))
+    rows = report_rows(worked_field(), 1)
     head = {k: rows[k] for k in ("D", "delta", "mode", "m")}
     v2_entry = {"p": 2, "b": 2, "route_a": 2, "route_b": 2, "per_n": [{"n": -1, "term": 2}]}
     with tempfile.TemporaryDirectory() as tmp:

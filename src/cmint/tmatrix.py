@@ -65,14 +65,26 @@ class TMatrix(Frozen):
         return (self.a, self.b, self.c)
 
 
-def t_matrix(field: CMFieldData, m: int, n: int, mu: int) -> TMatrix | None:
-    """The matrix for (m, n, μ), or None when the triple is inadmissible."""
-    if m < 1 or mu not in (1, -1):
-        raise InputError("need m >= 1 and mu = ±1")
+def _check_mn(field: CMFieldData, m: int, n: int) -> None:
+    """Raise `InputError` unless m >= 1, 0 < n < m·√D̃ and D | m²·D̃ − n²."""
+    if m < 1:
+        raise InputError("need m >= 1")
     if n <= 0 or n * n >= m * m * field.dtilde:
         raise InputError("need 0 < n < m·√D̃")
     if (m * m * field.dtilde - n * n) % field.D:
         raise InputError("need D | m²·D̃ − n²")
+
+
+def t_matrix(field: CMFieldData, m: int, n: int, mu: int) -> TMatrix | None:
+    """The matrix for (m, n, μ), or None when the triple is inadmissible."""
+    if mu not in (1, -1):
+        raise InputError("need mu = ±1")
+    _check_mn(field, m, n)
+    return _t_matrix(field, m, n, mu)
+
+
+def _t_matrix(field: CMFieldData, m: int, n: int, mu: int) -> TMatrix | None:
+    """`t_matrix` for an (m, n, μ) its caller has checked."""
     D, x, y, den = field.D, field.delta.x, field.delta.y, field.delta.den
     # numerators of c, b, a over the common denominator q = 4·D·m·den
     q = 4 * D * m * den
@@ -92,11 +104,13 @@ def t_matrix(field: CMFieldData, m: int, n: int, mu: int) -> TMatrix | None:
 def admissible_matrices(field: CMFieldData, m: int, n: int) -> tuple[TMatrix, ...]:
     """The matrices of the admissible signs for (m, n), μ = 1 first.
 
-    Both signs are admissible when D | n and exactly one otherwise; a
+    (m, n) is checked once, as `t_matrix` checks it, and both signs are built
+    from it. Both signs are admissible when D | n and exactly one otherwise; a
     violation of that rule is an internal error.
     """
-    pos = t_matrix(field, m, n, 1)
-    neg = t_matrix(field, m, n, -1)
+    _check_mn(field, m, n)
+    pos = _t_matrix(field, m, n, 1)
+    neg = _t_matrix(field, m, n, -1)
     if n % field.D == 0:
         if pos is not None and neg is not None:
             return (pos, neg)
@@ -107,4 +121,3 @@ def admissible_matrices(field: CMFieldData, m: int, n: int) -> tuple[TMatrix, ..
         rule = "exactly one sign must be admissible when D ∤ n"
     ok = tuple(T.mu for T in (pos, neg) if T is not None)
     raise InternalConsistencyError(f"{rule}; got {ok} for (m={m}, n={n})")
-

@@ -19,6 +19,7 @@ from cmint.bm import (
     intersection_number,
     report_json_obj,
     report_rows,
+    route_b_applies,
     support_primes,
 )
 from cmint.cmfield import (
@@ -69,11 +70,12 @@ def test_worked_instance():
 
 def test_report_rows_shape():
     # the cache's layout: the head, the flags, then [p, b, route_b, flat per_n] rows
-    rows = report_rows(bm_report(worked_field(), 1))
+    rows = report_rows(worked_field(), 1)
     assert list(rows) == ["D", "delta", "mode", "m", "flags", "entries"]
     assert rows["entries"] == [[2, 2, 2, [-1, 2]]] and rows["flags"] == []
-    rep = bm_report(build_cm_field(13, QuadElem(QuadField(13), -21, -2, 1)), 9)
-    rows = report_rows(rep)
+    f13 = build_cm_field(13, QuadElem(QuadField(13), -21, -2, 1))
+    rep = bm_report(f13, 9)
+    rows = report_rows(f13, 9)
     assert rows["entries"] == [
         [e.p, e.b, e.route_b, [x for pair in e.per_n for x in pair]] for e in rep.entries
     ]
@@ -81,7 +83,7 @@ def test_report_rows_shape():
 
 
 def test_report_json_shape():
-    obj = report_json_obj(report_rows(bm_report(worked_field(), 1)))
+    obj = report_json_obj(report_rows(worked_field(), 1))
     assert obj["D"] == 5 and obj["m"] == 1 and obj["mode"] == "strict"
     assert obj["delta"] == {"x": -13, "y": 1, "den": 2}
     assert obj["entries"] == [
@@ -156,6 +158,67 @@ def test_one_pass_route_matches_per_prime_loop():
             compared += 1
             nonzero += want != 0
     assert compared >= 300 and nonzero >= 100
+
+
+def per_p_route_b(field, m, table, branches):
+    """Route B with the product over l ≠ p taken again for each target p.
+
+    Adds to `branches` the number of matrices T by how many of their factors
+    at l ≠ p are zero: 0, 1 or 2 (for two or more).
+    """
+    totals = {}
+    for n, fac in table.items():
+        targets = [(p, e) for p, e in fac if m % p]
+        if n == 0 or not targets:
+            continue
+        t_ls = [(l, e if m % l else e - 2) for l, e in fac]
+        for T in admissible_matrices(field, m, n):
+            at_p, off_p = {}, {}
+            for l, t_l in t_ls:
+                at_p[l], off_p[l] = b_l_factors(field, T, l, t_l)
+            branches[min(2, sum(v == 0 for v in off_p.values()))] += 1
+            for p, e in targets:
+                term = at_p[p]
+                for l, v in off_p.items():
+                    if l != p:
+                        term *= v
+                totals[p] = totals.get(p, 0) + (e + 1) * term
+    return totals
+
+
+def test_route_b_matches_per_p_product():
+    # one product per T, its zeros counted apart, against the product over
+    # l ≠ p for each target p; a zero total may be left out of route B's dict
+    f13 = build_cm_field(13, QuadElem(QuadField(13), -21, -2, 1))
+    cases = [(f, m) for f in sweep_fields() for m in range(1, 31)]
+    cases += [(f13, m) for m in range(1, 101)]
+    branches = Counter()
+    compared = nonzero = 0
+    for f, m in cases:
+        if not route_b_applies(f, m):
+            continue
+        table = table_of(f, m)
+        want = {p: v for p, v in per_p_route_b(f, m, table, branches).items() if v}
+        got = {p: v for p, v in _route_b(f, m, table).items() if v}
+        assert got == want, (f.D, f.delta, m)
+        compared += 1
+        nonzero += len(want)
+    assert compared == 451 and nonzero == 3167
+    # matrices with 0, 1 and ≥ 2 zero factors at l ≠ p: 3,308, 5,282 and 2,495
+    assert min(branches[k] for k in (0, 1, 2)) >= 2000, branches
+
+
+def test_bm_report_entries_equal_rows():
+    # the library's entries are the CLI's rows, one to one
+    for f in sweep_fields():
+        for m in range(1, 31):
+            rows = report_rows(f, m)
+            rep = bm_report(f, m)
+            assert rep.flags == tuple(rows["flags"])
+            assert [(e.p, e.b, e.route_a, e.route_b, e.per_n) for e in rep.entries] == [
+                (p, b, b, route_b, tuple(zip(flat[::2], flat[1::2])))
+                for p, b, route_b, flat in rows["entries"]
+            ], (f.D, f.delta, m)
 
 
 def test_support_primes():

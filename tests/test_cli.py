@@ -12,7 +12,7 @@ import pytest
 
 import cmint.cli as cli
 from cmint import cache, cmfield, numutil, quadfield, selfcheck
-from cmint.bm import BmEntry, BmReport
+from cmint.bm import BmEntry, BmReport, bm_report
 from cmint.errors import InputError, InternalConsistencyError
 
 
@@ -259,7 +259,7 @@ def test_warm_single_m_reads_only_its_file(tmp_path, cache_dir, capsys, monkeypa
     def boom(*a, **k):
         raise AssertionError("a cached m was recomputed")
 
-    monkeypatch.setattr(cli, "bm_report", boom)
+    monkeypatch.setattr(cli, "report_rows", boom)
     assert cli.run(["bm", "--field", field, "--m", "1"]) == 0
     assert capsys.readouterr().out == cold
     assert cache_files(cache_dir) == before
@@ -477,14 +477,14 @@ def test_m_past_the_int_digit_limit_is_refused(tmp_path, cache_dir, capsys, comm
 def test_internal_error_exit_code(tmp_path, cache_dir, capsys, monkeypatch, command, fmt):
     # a failing m prints nothing, and the reports of the m before it stay cached
     field = write_field(tmp_path / "f.json")
-    real = cli.bm_report
+    real = cli.report_rows
 
     def boom(f, m):
         if m == 3:
             raise InternalConsistencyError("routes disagree somewhere")
         return real(f, m)
 
-    monkeypatch.setattr(cli, "bm_report", boom)
+    monkeypatch.setattr(cli, "report_rows", boom)
     assert cli.run([command, "--field", field, "--m", "1-3", "--format", fmt]) == 3
     out = capsys.readouterr()
     assert out.out == ""
@@ -508,8 +508,8 @@ def test_one_report_alive_at_a_time(tmp_path, capsys, monkeypatch, command):
     most = []
     real = cli.report_rows
 
-    def tracked(report):
-        rows = Report(real(report))
+    def tracked(field, m):
+        rows = Report(real(field, m))
         alive.add(rows)
         most.append(len(alive))
         return rows
@@ -519,6 +519,24 @@ def test_one_report_alive_at_a_time(tmp_path, capsys, monkeypatch, command):
     assert cli.run([*command, "--field", field, "--m", "1-6", "--no-cache"]) == 0
     assert capsys.readouterr().out
     assert len(most) == 6 and max(most) <= 2, most
+
+
+def test_range_builds_no_bm_entry(tmp_path, capsys, monkeypatch):
+    # the CLI computes each m's rows directly, never the library's entry objects
+    built = []
+    real = BmEntry.__init__
+
+    def counting(self, *args):
+        built.append(args[0])
+        real(self, *args)
+
+    monkeypatch.setattr(BmEntry, "__init__", counting)
+    path = write_field(tmp_path / "f.json", D=13, x=-21, y=-2, den=1)
+    assert cli.run(["intersect", "--field", path, "--m", "1-10", "--no-cache"]) == 0
+    assert capsys.readouterr().out
+    assert built == []
+    # the count sees an entry the library builds
+    assert bm_report(cli.load_field(path), 10).entries and built
 
 
 def test_humbert_command(tmp_path, capsys):

@@ -109,6 +109,29 @@ def test_route_b_alpha_matches_public_alpha(monkeypatch):
     assert len(visited) == 5539
 
 
+def test_minus_alpha_symbol_matches_kronecker(monkeypatch):
+    # Euler's criterion at odd l and α mod 8 at l = 2 give (−α | l) for every
+    # (T, l) route B meets on the sweep fields, and for every unit mod 8
+    unit = localdensity._alpha_unit
+    visited = []
+
+    def recording(T, l):
+        value = unit(T, l)
+        visited.append((l, value))
+        return value
+
+    monkeypatch.setattr(localdensity, "_alpha_unit", recording)
+    for f in sweep_fields():
+        for m in range(1, 31):
+            if is_squarefree(m) and gcd(m, 2 * f.D * f.dtilde) == 1:
+                _route_b(f, m, _factor_table(m * m * f.dtilde, 4 * f.D))
+    monkeypatch.undo()
+    pairs = set(visited) | {(2, u) for u in (1, 3, 5, 7)}
+    for l, alpha in pairs:
+        assert localdensity._minus_alpha_symbol(alpha, l) == kronecker(-alpha, l), (l, alpha)
+    assert len(visited) == 16140 and {l for l, _ in pairs} >= {2, 3, 5, 7, 11}
+
+
 def test_alpha_rejects():
     T = t_matrix(worked_field(), 1, 1, 1)
     with pytest.raises(InputError):
