@@ -25,14 +25,12 @@ __all__ = [
     "bm_report",
     "build_cm_field",
     "classify_in_reflex_cm",
-    "elem_norm",
     "humbert_intersection",
     "igusa_denominator_bounds",
     "intersection_number",
     "ord_at",
     "rho",
     "splitting",
-    "support_primes",
     "t_matrix",
 ]
 
@@ -45,11 +43,11 @@ _HOME = {
             "BadReductionCertificate bad_reduction_primes humbert_intersection"
             " igusa_denominator_bounds",
         ),
-        ("bm", "BmEntry BmReport bm_full bm_report intersection_number support_primes"),
+        ("bm", "BmEntry BmReport bm_full bm_report intersection_number"),
         ("cmfield", "CMFieldData build_cm_field classify_in_reflex_cm rho"),
         ("errors", "CmintError FieldRejected InputError InternalConsistencyError"),
         ("logcombo", "LogCombo"),
-        ("quadfield", "PrimeSpot QuadElem QuadField elem_norm ord_at splitting"),
+        ("quadfield", "PrimeSpot QuadElem QuadField ord_at splitting"),
         ("tmatrix", "TMatrix t_matrix"),
     )
     for name in names.split()

@@ -5,17 +5,21 @@ t = (n + m√D̃)/(2D) in the inverse relative different, of local terms at the
 non-split spots over p; it decides membership at the primes dividing 2D first,
 from v_l(m²D̃ − n²), and reads the other spot valuations off the factorization
 of (m²D̃ − n²)/(4D). At a prime of that factorization prime to D·m·D̃·norm(Δ̃),
-where Δ̃ is a unit, the one spot's kind in K̃ is one quadratic character; only
-the primes of 2·D·m·D̃·norm(Δ̃) read the spot table `spot_kinds`. Route (b) is
-the closed product formula over primes dividing (m²D̃ − n²)/(4D), valid for
-squarefree m coprime to 2DD̃p. Each route is one scan over n per m that
-yields every prime's value, and every scan walks only the residue classes of
-n with 4D | m²D̃ − n² (`_roots_mod`). The routes share only that range of n
+where Δ̃ is a unit, the one spot's kind in K̃ is one quadratic character.
+Route (b) is the closed product formula over primes dividing (m²D̃ − n²)/(4D),
+valid for squarefree m coprime to 2DD̃p. Each route is one scan over n per m
+that yields every prime's value, and every scan walks only the residue classes
+of n with 4D | m²D̃ − n² (`_roots_mod`). The routes share only that range of n
 and the m's factor table (`_factor_table`), which factors every
 (m²D̃ − n²)/4D with one sieve; `report_rows` builds it once per m and hands
 it to route (a), the support primes and route (b). Whenever route (b) applies,
 the two are compared and a mismatch is a hard error. Route (b) multiplies
 the factors of each matrix T once and serves every prime from that product.
+
+No spot row is memoized: route (a) reads the rows over 2 and D off the field
+and fetches those over the other primes of m·D̃·norm(Δ̃) with `spot_kinds`
+once per scan, and route (b) evaluates its factor at each l | m with t_l = 0,
+which no T changes, once per scan.
 
 `report_rows` returns the report as rows, the one shape the cache stores and
 the CLI prints from; `bm_report` wraps the same rows in `BmEntry` and
@@ -30,7 +34,7 @@ from math import gcd, isqrt
 from .cmfield import CMFieldData, spot_kinds
 from .errors import InputError, InternalConsistencyError
 from .frozen import Frozen
-from .localdensity import b_l_factors
+from .localdensity import _reflex_split_factor, b_l_factors
 from .numutil import (
     TRIAL_LIMIT,
     is_squarefree,
@@ -170,7 +174,8 @@ def _unit_spot_kind(x: int, y: int, n: int, m: int, l: int) -> str:
 def _candidate_n(field: CMFieldData, m: int, table: dict) -> list[int]:
     """The admissible signed n, ascending, that can pass membership at D.
 
-    `table` is the m's factor table, keyed by the admissible n >= 0.
+    `table` is the m's factor table, keyed by the admissible n >= 0; the spot
+    rows over D are the field's.
     Admissibility depends on n² only, so the n < 0 are their negatives.
 
     When D ∤ m and D splits in F̃, D | m²D̃ − n² puts n + m√D̃ in exactly one
@@ -183,7 +188,7 @@ def _candidate_n(field: CMFieldData, m: int, table: dict) -> list[int]:
     D = field.D
     keys = list(table)
     ns = [-k for k in reversed(keys) if k] + keys
-    rows = spot_kinds(field, D)
+    rows = field.rows_d
     neg = [label for _, _, kind_f, shift, _, _, label in rows if kind_f == "split" and shift < 0]
     if m % D == 0 or not neg:
         return ns
@@ -208,14 +213,15 @@ def _route_a(
 
     An odd l ∤ D·m·D̃·norm(Δ̃) splits in F̃, and n + m√D̃ has all of v_l at its
     spot √D̃ ≡ −n/m, where Δ̃ is a unit: that spot's kind is one symbol (`_unit_spot_kind`).
-    Only the primes of 2·D·m·D̃·norm(Δ̃) read `spot_kinds`, once per scan.
+    The rows over 2 and D are the field's; those over the other primes of
+    m·D̃·norm(Δ̃) are fetched with `spot_kinds` once per scan.
     """
     D = field.D
     if any(s.l != D for s, _ in field.rel_diff):
         raise InputError("the relative different must lie over D")
-    rows_2, rows_d = spot_kinds(field, 2), spot_kinds(field, D)
+    rows_2, rows_d = field.rows_2, field.rows_d
     x, y = field.delta_tilde.x, field.delta_tilde.y
-    special = m * field.dtilde * (x * x - y * y * field.dtilde)  # its primes, 2 and D read rows
+    special = m * field.dtilde * (x * x - y * y * field.dtilde)  # its primes read rows
     rows_of: dict[int, tuple] = {}
     terms: dict[int, list[tuple[int, int]]] = {}
     neg, dual = set(), []  # |n| of the members n < 0; the n > 0 whose −n is one too
@@ -275,13 +281,6 @@ def _table_primes(table: dict) -> tuple[int, ...]:
     return tuple(sorted({p for fac in table.values() for p, _ in fac}))
 
 
-def support_primes(field: CMFieldData, m: int) -> tuple[int, ...]:
-    """Primes dividing (m²D̃ − n²)/(4D) for some 0 <= n < m√D̃."""
-    if m < 1:
-        raise InputError("need m >= 1")
-    return _table_primes(_factor_table(m * m * field.dtilde, 4 * field.D))
-
-
 def route_b_applies(field: CMFieldData, m: int) -> bool:
     """Route B's guard on m: squarefree and coprime to 2DD̃. It then applies at every p ∤ m."""
     return is_squarefree(m) and gcd(m, 2 * field.D * field.dtilde) == 1
@@ -298,15 +297,22 @@ def _route_b(field: CMFieldData, m: int, table: dict) -> dict[int, int]:
     counted apart: with none, p's term divides p's own value out of the
     product; with one, at l₀, only p = l₀ can have a nonzero term; with more,
     every term is 0. A p ∤ m missing from the result has b_m(p) = 0.
+
+    t_l = 0 only at l | m, where the factor depends on no T: it is evaluated
+    once per l in the scan.
     """
     totals: dict[int, int] = {}
+    at_m: dict[int, tuple[int, int]] = {}  # the factor at each l | m with t_l = 0
     for n, fac in table.items():
         if n == 0 or not any(m % p for p, _ in fac):
             continue
         # t_l = v_l(quot) − 2·v_l(m), and v_l(m) is 0 or 1 for squarefree m
         t_ls = [(l, e if m % l else e - 2) for l, e in fac]
+        for l, t_l in t_ls:
+            if not t_l and l not in at_m:
+                at_m[l] = (_reflex_split_factor(field, l),) * 2
         for T in admissible_matrices(field, m, n):
-            factors = [b_l_factors(field, T, l, t_l) for l, t_l in t_ls]
+            factors = [at_m[l] if not t_l else b_l_factors(field, T, l, t_l) for l, t_l in t_ls]
             off, zero_at = 1, []
             for i, (_, v) in enumerate(factors):
                 if v:

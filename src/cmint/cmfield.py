@@ -7,11 +7,12 @@ Everything downstream only ever consults the reflex side. `_build_cached`
 is the one validator of (D, Δ): `build_cm_field` and the CLI's field loader
 both hand it their integers, and it proves D prime once.
 
-A spot's kind in K̃ (split, inert or ramified) depends only on the field, so
-it is decided once per (field, l) in the bounded table `spot_kinds`, which
-`classify_in_reflex_cm`, ρ and both routes for b_m(p) read. Route (a) reads it
-only over the primes of 2·D·m·D̃·norm(Δ̃): at any other prime of its scan, Δ̃
-is a unit at the one spot it needs, whose kind is one quadratic character.
+`spot_kinds(field, l)` gives each spot of F̃ over l with its kind in K̃
+(split, inert or ramified). It keeps no memo: a field carries its rows over 2
+and D, which route (a) reads at every m, and each route fetches any other
+prime's rows once per scan. Route (a) needs them only over the primes of m,
+D̃ and norm(Δ̃): at any other prime of its scan, Δ̃ is a unit at the one spot
+it needs, whose kind is one quadratic character.
 
 A validated field's relative different of K̃/F̃ is one spot over D, with
 exponent 1 (`_relative_different`), so 2 never ramifies in K̃/F̃.
@@ -37,8 +38,12 @@ from .quadfield import (
 
 
 class CMFieldData(Frozen):
+    """A validated field. Besides its fields it holds `rows_2` and `rows_d`,
+    `spot_kinds` over 2 and over D, built with it; like the stored hash they
+    are no fields, so repr, equality, hash and pickling ignore them."""
+
     _fields = ("D", "delta", "dtilde", "delta_tilde", "rel_diff", "w_k", "mode")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields + ("_hash", "rows_2", "rows_d")
 
     def __init__(
         self,
@@ -53,8 +58,10 @@ class CMFieldData(Frozen):
         values = (D, delta, dtilde, delta_tilde, rel_diff, w_k, mode)
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
-        # the field keys every per-field table, so its recursive hash is taken once
+        # its recursive hash is taken once
         object.__setattr__(self, "_hash", hash(values))
+        object.__setattr__(self, "rows_2", spot_kinds(self, 2))
+        object.__setattr__(self, "rows_d", spot_kinds(self, D))
 
     def __hash__(self) -> int:
         return self._hash
@@ -214,7 +221,6 @@ def build_cm_field(D: int, delta: QuadElem, mode: str = "strict") -> CMFieldData
     return _build_cached(D, delta.x, delta.y, delta.den, mode)
 
 
-@lru_cache(maxsize=1 << 14)
 def spot_kinds(field: CMFieldData, l: int) -> tuple[tuple, ...]:
     """Each spot of F̃ over l, in `splitting` order, as the flat row
     (spot, its kind in K̃, its kind in F̃, shift, e_𝔡, f, label), each kind
@@ -225,9 +231,10 @@ def spot_kinds(field: CMFieldData, l: int) -> tuple[tuple, ...]:
     𝔡⁻¹ minus that of 2D; it is negative only over 2 and D.
 
     l is not proved prime here: every caller passes a prime already proved,
-    namely 2, the validated D, the primes of `prime_factors`, and those of an
-    m's factor table that divide 2·D·m·D̃·norm(Δ̃) (route (a)) or m (route
-    (b)). `classify_in_reflex_cm` proves a caller's l first.
+    namely 2, the validated D, and those of an m's factor table that divide
+    m·D̃·norm(Δ̃) (route (a)) or m (route (b)). `classify_in_reflex_cm`
+    proves a caller's l first. Nothing is memoized: a field holds its rows
+    over 2 and D, and each route asks for another prime's rows once per scan.
     """
     dt = field.delta_tilde
     rel = dict(field.rel_diff)

@@ -5,8 +5,7 @@ A subclass names its fields, in constructor order, in both `__slots__` and
 Instances then compare, hash and print as the fields tuple does: equal only
 to an instance of the same class with equal fields, `hash` of the fields
 tuple, and a `Name(field=value, ...)` repr. Assignment raises
-`AttributeError`. `CMFieldData`, which keys every per-field table, takes
-the same hash once and stores it.
+`AttributeError`. `CMFieldData` takes the same hash once and stores it.
 """
 
 from __future__ import annotations

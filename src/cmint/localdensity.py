@@ -55,7 +55,8 @@ def _minus_alpha_symbol(alpha: int, l: int) -> int:
 def _reflex_split_factor(field: CMFieldData, l: int) -> int:
     """The factor at l | m with t_l = 0: 4 when l splits in F̃ and every spot
     over l splits in K̃, 2 when l is inert in F̃ and its spot splits in K̃,
-    else 0. The kinds come from the per-field table `spot_kinds`."""
+    else 0. The kinds come from `spot_kinds`, which keeps no memo: route (b)
+    calls this once per l | m in its scan, not once per T."""
     k = kronecker(field.dtilde, l)
     if k == 0 or any(kind != "split" for _, kind, *_ in spot_kinds(field, l)):
         return 0

@@ -49,13 +49,6 @@ class QuadElem(Frozen):
         return self.x == 0 and self.y == 0
 
 
-def elem_norm(e: QuadElem) -> Fraction:
-    """Field norm x² − y²·d over den²."""
-    from fractions import Fraction  # only callers outside the scans read norms as rationals
-
-    return Fraction(e.x * e.x - e.y * e.y * e.field.disc, e.den * e.den)
-
-
 class PrimeSpot(Frozen):
     """A place of Q(√disc) over the rational prime l.
 

@@ -146,14 +146,16 @@ def check_tmatrix_laws(fields: Iterable[CMFieldData], m_max: int) -> int:
                 if N % D:
                     continue
                 for T in admissible_matrices(f, m, n):  # raises if the sign rule fails
+                    a, b, c = (Fraction(v, T.q) for v in T.num)
+                    det = a * c - b * b
                     ok = (
-                        T.a > 0
-                        and T.det > 0
-                        and T.det == Fraction(N, D * m * m)
+                        a > 0
+                        and det > 0
+                        and det == Fraction(N, D * m * m)
                         # the defining congruences for half-integral coefficients
-                        and 2 * T.mu * Fraction(n, m) - D * T.c == two_d0
-                        and 2 * T.b + D * T.c == -two_d1
-                        and all((m * v).denominator == 1 for v in T.entries)
+                        and 2 * T.mu * Fraction(n, m) - D * c == two_d0
+                        and 2 * b + D * c == -two_d1
+                        and all((m * v).denominator == 1 for v in (a, b, c))
                     )
                     if not ok:
                         raise InternalConsistencyError(

@@ -19,11 +19,8 @@ from .frozen import Frozen
 
 
 class TMatrix(Frozen):
-    """T = [[a, b], [b, c]], held as the integer numerators (a, b, c) over q.
-
-    The numerators need not be reduced; `a`, `b`, `c`, `entries` and `det`
-    give the rational values.
-    """
+    """T = [[a, b], [b, c]], held as the integer numerators `num` = (a, b, c)
+    over the positive denominator `q`. The numerators need not be reduced."""
 
     __slots__ = _fields = ("num", "q", "m", "n", "mu")
 
@@ -33,36 +30,6 @@ class TMatrix(Frozen):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mu", mu)
-
-    # the scans read only `num` and `q`: these build their Fractions when asked
-    @property
-    def a(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.num[0], self.q)
-
-    @property
-    def b(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.num[1], self.q)
-
-    @property
-    def c(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.num[2], self.q)
-
-    @property
-    def det(self) -> Fraction:
-        from fractions import Fraction
-
-        a, b, c = self.num
-        return Fraction(a * c - b * b, self.q * self.q)
-
-    @property
-    def entries(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.a, self.b, self.c)
 
 
 def _check_mn(field: CMFieldData, m: int, n: int) -> None:

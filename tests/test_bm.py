@@ -20,7 +20,6 @@ from cmint.bm import (
     report_json_obj,
     report_rows,
     route_b_applies,
-    support_primes,
 )
 from cmint.cmfield import (
     CMFieldData,
@@ -118,6 +117,11 @@ def test_deep_product_cases_agree():
     assert check_route_agreement([build_cm_field(5, QuadElem(F5, -9, 2, 1))], (3,)) > 0
 
 
+def support(field, m):
+    """The support primes of m: the p column of its report rows."""
+    return tuple(p for p, *_ in report_rows(field, m)["entries"])
+
+
 def per_p_product(field, m, p):
     """b_m(p) by the product formula, rescanning every n for the one prime p."""
     m2dt = m * m * field.dtilde
@@ -149,7 +153,7 @@ def test_one_pass_route_matches_per_prime_loop():
         if not is_squarefree(m) or gcd(m, 2 * f.D * f.dtilde) != 1:
             continue
         totals = _route_b(f, m, table_of(f, m))
-        for p in support_primes(f, m) + (101,):
+        for p in support(f, m) + (101,):
             if m % p == 0:
                 assert p not in totals
                 continue
@@ -223,15 +227,13 @@ def test_bm_report_entries_equal_rows():
 
 def test_support_primes():
     f = worked_field()
-    assert support_primes(f, 1) == (2,)
-    assert support_primes(f, 2) == (2, 5)
-    assert support_primes(f, 3) == (2, 3, 5)
+    assert support(f, 1) == (2,)
+    assert support(f, 2) == (2, 5)
+    assert support(f, 3) == (2, 3, 5)
     z = cyclotomic_field()
-    assert support_primes(z, 3) == ()
-    assert support_primes(z, 7) == (11,)
-    with pytest.raises(InputError):
-        support_primes(f, 0)
-    for fn in (bm_report, bm_full, intersection_number):
+    assert support(z, 3) == ()
+    assert support(z, 7) == (11,)
+    for fn in (report_rows, bm_report, bm_full, intersection_number):
         for m in (0, -1):
             with pytest.raises(InputError):
                 fn(f, m)
@@ -251,10 +253,11 @@ def test_nonzero_needs_support():
     rng = random.Random(23)
     for f in enumerate_fields(5, 150) + enumerate_fields(13, 300):
         for m in rng.sample(range(1, 12), 4):
-            sup = set(support_primes(f, m))
+            table = table_of(f, m)
+            sup = {p for fac in table.values() for p, _ in fac}
             coeffs = bm_full(f, m).as_dict()
             assert set(coeffs) <= sup
-            terms = _route_a(f, m, table_of(f, m))[0]
+            terms = _route_a(f, m, table)[0]
             for p in sorted(sup):
                 assert sum(t for _, t in terms.get(p, ())) == int(coeffs.get(p, 0))
 

@@ -34,8 +34,9 @@ def test_alpha_unit_classes():
 
 def box_alpha(T, l):
     """The first unit value of the form over x, y mod l (mod 8 for l = 2)."""
-    d = lcm(*(v.denominator for v in T.entries))  # prime to l
-    a, b, c = (int(v * d) for v in T.entries)
+    ent = [Fraction(v, T.q) for v in T.num]
+    d = lcm(*(v.denominator for v in ent))  # prime to l
+    a, b, c = (int(v * d) for v in ent)
     box = 8 if l == 2 else l
     for x in range(box):
         for y in range(box):
@@ -82,7 +83,7 @@ def test_alpha_closed_form_matches_box_search():
 
 def fraction_alpha(T, l):
     """The first l-unit among c, a, a + 2b + c, read off the Fraction entries."""
-    a, b, c = T.entries
+    a, b, c = (Fraction(v, T.q) for v in T.num)
     modulus = 8 if l == 2 else l
     u = next(v for v in (c, a, a + 2 * b + c) if v.numerator % l)
     return u.numerator * pow(u.denominator, -1, modulus) % modulus

@@ -6,6 +6,7 @@ import pickle
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,10 +22,11 @@ from cmint import (
     QuadElem,
     QuadField,
     TMatrix,
-    bm_report,
     build_cm_field,
 )
-from cmint import cli
+from cmint import bm, cli, localdensity
+from cmint.bm import report_rows
+from cmint.cmfield import spot_kinds
 from cmint.numutil import prime_factors
 
 
@@ -43,14 +45,12 @@ def lru_caches() -> dict:
 
 def test_every_lru_cache_is_bounded():
     caches = lru_caches()
-    assert caches.keys() == {
-        "cmint.cmfield._build_cached",
-        "cmint.cmfield.spot_kinds",
-    }
+    assert caches.keys() == {"cmint.cmfield._build_cached"}
     # their calls do not repeat within one command, so a memo would only keep
-    # each result alive; `_splitting`'s one repeating caller is `spot_kinds`,
-    # the per-(field, l) table, `_root_for_spot`'s lifted roots gave way to
-    # the spots' labels, and `bm_report` hands its one factor table to the scans
+    # each result alive; a field holds its spot rows over 2 and D and each
+    # route fetches another prime's once per scan, `_root_for_spot`'s lifted
+    # roots gave way to the spots' labels, and `report_rows` hands its one
+    # factor table to the scans
     for name in (
         "bm._factor_table",
         "bm._route_a",
@@ -58,6 +58,7 @@ def test_every_lru_cache_is_bounded():
         "bm.support_primes",
         "bm.bm_report",
         "cmfield._dyadic_squares",
+        "cmfield.spot_kinds",
         "numutil.factorize",
         "quadfield._root_for_spot",
         "quadfield._splitting",
@@ -76,9 +77,6 @@ def test_every_lru_cache_is_hit_within_one_command(tmp_path, monkeypatch, capsys
         call()
         return caches[name].cache_info().hits
 
-    f13 = build_cm_field(13, QuadElem(QuadField(13), -21, -2))
-    # one m range asks for the same (field, l) spot tables again
-    assert hits("cmint.cmfield.spot_kinds", lambda: [bm_report(f13, m) for m in range(1, 11)]) >= 1
     # a process that runs several commands on one field builds it once
     field = tmp_path / "f.json"
     field.write_text('{"D": 13, "delta": {"x": -21, "y": -2, "den": 1}, "mode": "strict"}')
@@ -92,21 +90,35 @@ def test_every_lru_cache_is_hit_within_one_command(tmp_path, monkeypatch, capsys
     capsys.readouterr()
 
 
-def test_spot_memo_holds_only_the_primes_of_2dd_norm_and_m():
-    # route A reads the kind of a spot where Δ̃ is a unit off one symbol, so
-    # over an m range the spot memo keeps rows only for the primes of
-    # 2·D·D̃·norm(Δ̃)·m, not one for each support prime (1,274 over m <= 100)
-    spot_kinds = lru_caches()["cmint.cmfield.spot_kinds"]
+def test_each_route_fetches_a_spot_row_once_per_m(monkeypatch):
+    # `spot_kinds` keeps no memo, so its callers keep their own rows: route A
+    # reads those over 2 and D off the field, classifies a spot where Δ̃ is a
+    # unit off one symbol and fetches the other primes' rows once per scan;
+    # route B evaluates its factor at each l | m once per scan, not per (T, l).
+    # Over m <= 100 each route asks for a prime at most once per m, and only
+    # for the primes of 2·D·D̃·norm(Δ̃)·m, not for each support prime
     f13 = build_cm_field(13, QuadElem(QuadField(13), -21, -2))
     x, y = f13.delta_tilde.x, f13.delta_tilde.y
     fixed = 2 * f13.D * f13.dtilde * abs(x * x - y * y * f13.dtilde)
     ms = range(1, 101)
     primes = set(prime_factors(fixed)).union(*(prime_factors(m) for m in ms))
     assert len(primes) == 26
-    spot_kinds.cache_clear()
+    calls, total = Counter(), Counter()
+    for route, mod in (("A", bm), ("B", localdensity)):
+
+        def counting(field, l, route=route):
+            calls[route, l] += 1
+            return spot_kinds(field, l)
+
+        monkeypatch.setattr(mod, "spot_kinds", counting)
     for m in ms:
-        bm_report(f13, m)
-    assert spot_kinds.cache_info().currsize <= len(primes)
+        calls.clear()
+        report_rows(f13, m)
+        assert max(calls.values(), default=1) == 1, (m, calls)
+        assert all(fixed * m % l == 0 for _, l in calls), (m, calls)
+        assert not {l for route, l in calls if route == "A"} & {2, f13.D}, (m, calls)
+        total.update(route for route, _ in calls)
+    assert total == {"A": 135, "B": 48}, total
 
 
 FIELD_REPR = (
@@ -291,7 +303,7 @@ def test_package_names_load_on_first_use():
     assert fresh_python("import cmint")[2] == {"cmint"}
     code = "from cmint import *; import cmint; print(all(n in globals() for n in cmint.__all__))"
     assert fresh_python(code)[1] == b"True\n"
-    assert len(cmint.__all__) == len(set(cmint.__all__)) == 27
+    assert len(cmint.__all__) == len(set(cmint.__all__)) == 25
     assert set(cmint.__all__) <= set(dir(cmint))
     for name in cmint.__all__:
         value = getattr(cmint, name)
