@@ -8,8 +8,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadReductionCertificate",
-    "BmEntry",
-    "BmReport",
     "CMFieldData",
     "CmintError",
     "FieldRejected",
@@ -22,13 +20,13 @@ __all__ = [
     "TMatrix",
     "bad_reduction_primes",
     "bm_full",
-    "bm_report",
     "build_cm_field",
     "classify_in_reflex_cm",
     "humbert_intersection",
     "igusa_denominator_bounds",
     "intersection_number",
     "ord_at",
+    "report_rows",
     "rho",
     "splitting",
     "t_matrix",
@@ -43,7 +41,7 @@ _HOME = {
             "BadReductionCertificate bad_reduction_primes humbert_intersection"
             " igusa_denominator_bounds",
         ),
-        ("bm", "BmEntry BmReport bm_full bm_report intersection_number"),
+        ("bm", "bm_full intersection_number report_rows"),
         ("cmfield", "CMFieldData build_cm_field classify_in_reflex_cm rho"),
         ("errors", "CmintError FieldRejected InputError InternalConsistencyError"),
         ("logcombo", "LogCombo"),

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .bm import bm_report
+from .bm import report_rows
 from .cmfield import CMFieldData
 from .errors import InputError, InternalConsistencyError
 from .frozen import Frozen
@@ -17,8 +17,8 @@ def _b_sum(field: CMFieldData, indices) -> dict[int, int]:
     """Σ b_k(p) over the indices k, by prime p."""
     totals: dict[int, int] = {}
     for k in indices:
-        for e in bm_report(field, k).entries:
-            totals[e.p] = totals.get(e.p, 0) + e.b
+        for p, b, *_ in report_rows(field, k)["entries"]:
+            totals[p] = totals.get(p, 0) + b
     return totals
 
 

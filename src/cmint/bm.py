@@ -21,9 +21,8 @@ and fetches those over the other primes of m·D̃·norm(Δ̃) with `spot_kinds`
 once per scan, and route (b) evaluates its factor at each l | m with t_l = 0,
 which no T changes, once per scan.
 
-`report_rows` returns the report as rows, the one shape the cache stores and
-the CLI prints from; `bm_report` wraps the same rows in `BmEntry` and
-`BmReport` for library callers.
+`report_rows` returns the report as rows, the one shape of a report: the
+cache stores it, the CLI prints from it and the library reads it.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from math import gcd, isqrt
 
 from .cmfield import CMFieldData, spot_kinds
 from .errors import InputError, InternalConsistencyError
-from .frozen import Frozen
 from .localdensity import _reflex_split_factor, b_l_factors
 from .numutil import (
     TRIAL_LIMIT,
@@ -44,31 +42,6 @@ from .numutil import (
 )
 from .quadfield import split_ord
 from .tmatrix import admissible_matrices
-
-
-class BmEntry(Frozen):
-    __slots__ = _fields = ("p", "b", "route_a", "route_b", "per_n")
-
-    def __init__(
-        self, p: int, b: int, route_a: int, route_b: int | None, per_n: tuple[tuple[int, int], ...]
-    ):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "route_a", route_a)
-        object.__setattr__(self, "route_b", route_b)
-        object.__setattr__(self, "per_n", per_n)
-
-
-class BmReport(Frozen):
-    __slots__ = _fields = ("field", "m", "entries", "flags")
-
-    def __init__(
-        self, field: CMFieldData, m: int, entries: tuple[BmEntry, ...], flags: tuple[str, ...]
-    ):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "flags", flags)
 
 
 def _roots_mod(a: int, div: int) -> list[int]:
@@ -342,8 +315,8 @@ def report_rows(field: CMFieldData, m: int) -> dict:
     The rows are the report's head, its flags and one row per support prime,
     [p, b, route_b or None, [n₁, t₁, n₂, t₂, …]]: route (a)'s value b, route
     (b)'s where it applies, and route (a)'s signed n and terms. The cache
-    stores them and the CLI prints from them; route (a) is b, so it has no
-    column.
+    stores them, the CLI prints from them and the library sums them; route
+    (a) is b, so it has no column.
 
     Route (a) reads the same table at 4D, so a nonzero term at a prime outside
     the support is an internal error.
@@ -376,22 +349,11 @@ def report_rows(field: CMFieldData, m: int) -> dict:
     return {**field_header(field), "m": m, "flags": list(flags), "entries": entries}
 
 
-def bm_report(field: CMFieldData, m: int) -> BmReport:
-    """`report_rows` as a `BmReport`, one `BmEntry` per row, for library callers."""
-    rows = report_rows(field, m)
-    entries = tuple(
-        BmEntry(p, b, b, route_b, tuple(zip(flat[::2], flat[1::2])))
-        for p, b, route_b, flat in rows["entries"]
-    )
-    return BmReport(field, m, entries, tuple(rows["flags"]))
-
-
 def bm_full(field: CMFieldData, m: int) -> LogCombo:
     """b_m = Σ_p b_m(p)·log p with the opportunistic route cross-check."""
     from .logcombo import LogCombo  # the CLI reads reports, never combos
 
-    rep = bm_report(field, m)
-    return LogCombo.from_dict({e.p: e.b for e in rep.entries})
+    return LogCombo.from_dict({p: b for p, b, *_ in report_rows(field, m)["entries"]})
 
 
 def intersection_number(field: CMFieldData, m: int) -> LogCombo:
@@ -400,7 +362,8 @@ def intersection_number(field: CMFieldData, m: int) -> LogCombo:
 
     from .logcombo import LogCombo
 
-    return LogCombo.from_dict({e.p: Fraction(e.b, 2) for e in bm_report(field, m).entries})
+    entries = report_rows(field, m)["entries"]
+    return LogCombo.from_dict({p: Fraction(b, 2) for p, b, *_ in entries})
 
 
 def report_json_obj(rows: dict) -> dict:

@@ -16,8 +16,9 @@ from __future__ import annotations
 import json
 import random
 import tempfile
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .applications import (
     humbert_intersection,
     igusa_denominator_bounds,
 )
-from .bm import bm_full, bm_report, intersection_number, report_rows, route_b_applies
+from .bm import bm_full, intersection_number, report_rows, route_b_applies
 from .cmfield import CMFieldData, build_cm_field
 from .errors import FieldRejected, InternalConsistencyError
 from .numutil import primes_up_to
@@ -69,26 +70,30 @@ def cyclotomic_field() -> CMFieldData:
     return build_cm_field(5, QuadElem(QuadField(5), -5, -1, 2))
 
 
-def sample_vanishing_fields(count: int, seed: int) -> list[CMFieldData]:
-    """Random validated fields with D̃ <= 4D, so the vanishing range is nonempty."""
+def random_fields(seed: int, d_max: int, spread: int) -> Iterator[CMFieldData]:
+    """Validated fields without end, strict and permissive at random: D a prime
+    ≡ 1 mod 4 below `d_max`, Δ = (x + y√D)/den with |y| <= 3, den 1 or 2, and
+    x up to `spread` below −√(y²D)."""
     rng = random.Random(seed)
-    ds = [p for p in primes_up_to(400) if p % 4 == 1]
-    out: list[CMFieldData] = []
-    while len(out) < count:
+    ds = [p for p in primes_up_to(d_max) if p % 4 == 1]
+    while True:
         D = rng.choice(ds)
         y = rng.choice([1, 2, 3]) * rng.choice([1, -1])
         den = rng.choice([1, 2])
-        x = -(isqrt(y * y * D) + rng.randint(1, 6))
+        x = -(isqrt(y * y * D) + rng.randint(1, spread))
         if den == 2 and (x - y) % 2:
             x -= 1
         mode = rng.choice(["strict", "permissive"])
         try:
-            field = build_cm_field(D, QuadElem(QuadField(D), x, y, den), mode)
+            yield build_cm_field(D, QuadElem(QuadField(D), x, y, den), mode)
         except FieldRejected:
             continue
-        if field.dtilde <= 4 * D:
-            out.append(field)
-    return out
+
+
+def sample_vanishing_fields(count: int, seed: int) -> list[CMFieldData]:
+    """Random validated fields with D̃ <= 4D, so the vanishing range is nonempty."""
+    fields = (f for f in random_fields(seed, 400, 6) if f.dtilde <= 4 * f.D)
+    return list(islice(fields, count))
 
 
 def _locked(values: list[tuple[str, object, object]]) -> int:
@@ -110,13 +115,13 @@ def check_route_agreement(fields: Iterable[CMFieldData], ms: Sequence[int]) -> i
         for m in ms:
             if not route_b_applies(field, m):
                 continue
-            for e in bm_report(field, m).entries:
-                if (e.route_b is None) != (m % e.p == 0) or e.route_b not in (None, e.route_a):
+            for p, b, route_b, _ in report_rows(field, m)["entries"]:
+                if (route_b is None) != (m % p == 0) or route_b not in (None, b):
                     raise InternalConsistencyError(
-                        f"route disagreement at p={e.p}, m={m}, D={field.D}, "
-                        f"delta={field.delta}: {e.route_a} (A) vs {e.route_b} (B)"
+                        f"route disagreement at p={p}, m={m}, D={field.D}, "
+                        f"delta={field.delta}: {b} (A) vs {route_b} (B)"
                     )
-                compared += e.route_b is not None
+                compared += route_b is not None
     return compared
 
 
@@ -168,12 +173,11 @@ def check_tmatrix_laws(fields: Iterable[CMFieldData], m_max: int) -> int:
 def check_worked_instance() -> int:
     """Every value locked for D = 5, Δ = (−13 + √5)/2 at m = 1; the number locked."""
     field = worked_field()
-    rep = bm_report(field, 1)
+    rows = report_rows(field, 1)
     cert = bad_reduction_primes(field)
-    entries = [(e.p, e.b, e.route_a, e.route_b, e.per_n) for e in rep.entries]
     return _locked([
-        ("b_1 entries", entries, [(2, 2, 2, 2, ((-1, 2),))]),
-        ("flags", rep.flags, ()),
+        ("b_1 entries", rows["entries"], [[2, 2, 2, [-1, 2]]]),
+        ("flags", rows["flags"], []),
         ("b_1", bm_full(field, 1).as_dict(), {2: Fraction(2)}),
         ("intersection number", intersection_number(field, 1).as_dict(), {2: Fraction(1)}),
         ("humbert intersection", humbert_intersection(field, 1).as_dict(), {2: Fraction(1)}),
@@ -188,14 +192,13 @@ def check_worked_instance() -> int:
 def check_cyclotomic() -> int:
     """The locked values of the cyclotomic field for m <= 7; the number locked."""
     field = cyclotomic_field()
-    rep7 = bm_report(field, 7)
     return _locked([
         ("unit count", field.w_k, 10),
         *((f"b_{m}", bm_full(field, m).as_dict(), {}) for m in (1, 2, 3)),
         ("b_4", bm_full(field, 4).as_dict(), {2: Fraction(4)}),
         ("b_5", bm_full(field, 5).as_dict(), {5: Fraction(2)}),
         ("b_6", bm_full(field, 6).as_dict(), {2: Fraction(8), 3: Fraction(4)}),
-        ("b_7 entries", [(e.p, e.b, e.route_b) for e in rep7.entries], [(11, 0, 0)]),
+        ("b_7 entries", [row[:3] for row in report_rows(field, 7)["entries"]], [[11, 0, 0]]),
     ])
 
 

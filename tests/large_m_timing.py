@@ -1,9 +1,9 @@
-"""Seconds of `bm_report` at large m; pytest does not collect this script.
+"""Seconds of `report_rows` at large m; pytest does not collect this script.
 
     PYTHONPATH=src python tests/large_m_timing.py [m ...]
 
 Prints one line per m (default 1,000, 3,001, 10,001 and 30,001): m, the number
-of support primes, the wall seconds of `bm_report` on the ROADMAP field
+of support primes, the wall seconds of `report_rows` on the ROADMAP field
 D = 13, Δ = −21 − 2√13 (D̃ = 389), one call each, in one process and in the
 order given, and the process's VmHWM in MB after the call (`-` where
 /proc/self/status is missing). From m = 3,001 to 30,001 the time should grow
@@ -15,7 +15,7 @@ read the peak of that m alone.
 import sys
 import time
 
-from cmint.bm import bm_report
+from cmint.bm import report_rows
 from cmint.cmfield import build_cm_field
 from cmint.quadfield import QuadElem, QuadField
 
@@ -40,9 +40,9 @@ def main(argv: list[str]) -> None:
     print("m,support_primes,seconds,vmhwm_mb")
     for m in ms:
         t0 = time.perf_counter()
-        rep = bm_report(field, m)
+        rows = report_rows(field, m)
         secs = time.perf_counter() - t0
-        print(f"{m},{len(rep.entries)},{secs:.3f},{vmhwm_mb()}", flush=True)
+        print(f"{m},{len(rows['entries'])},{secs:.3f},{vmhwm_mb()}", flush=True)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from cmint.bm import bm_report
+from cmint.bm import report_rows
 from cmint.cmfield import build_cm_field
 from cmint.localdensity import b_l_factors
 from cmint.numutil import kronecker, ord_p, prime_factors, primes_up_to
@@ -61,14 +61,14 @@ def test_support_law_for_nonzero_values():
     for f in fields:
         fourDp = 4 * f.D
         for m in range(1, 13):
-            for e in bm_report(f, m).entries:
-                if e.b == 0:
+            for p, b, *_ in report_rows(f, m)["entries"]:
+                if b == 0:
                     continue
                 top = isqrt(m * m * f.dtilde - 1)
                 assert any(
-                    (m * m * f.dtilde - n * n) % (fourDp * e.p) == 0
+                    (m * m * f.dtilde - n * n) % (fourDp * p) == 0
                     for n in range(top + 1)
-                ), (f.D, f.delta, m, e.p)
+                ), (f.D, f.delta, m, p)
                 nonzero += 1
     assert nonzero >= 50
 

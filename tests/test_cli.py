@@ -12,7 +12,6 @@ import pytest
 
 import cmint.cli as cli
 from cmint import cache, cmfield, numutil, quadfield, selfcheck
-from cmint.bm import BmEntry, BmReport, bm_report
 from cmint.errors import InputError, InternalConsistencyError
 
 
@@ -521,24 +520,6 @@ def test_one_report_alive_at_a_time(tmp_path, capsys, monkeypatch, command):
     assert len(most) == 6 and max(most) <= 2, most
 
 
-def test_range_builds_no_bm_entry(tmp_path, capsys, monkeypatch):
-    # the CLI computes each m's rows directly, never the library's entry objects
-    built = []
-    real = BmEntry.__init__
-
-    def counting(self, *args):
-        built.append(args[0])
-        real(self, *args)
-
-    monkeypatch.setattr(BmEntry, "__init__", counting)
-    path = write_field(tmp_path / "f.json", D=13, x=-21, y=-2, den=1)
-    assert cli.run(["intersect", "--field", path, "--m", "1-10", "--no-cache"]) == 0
-    assert capsys.readouterr().out
-    assert built == []
-    # the count sees an entry the library builds
-    assert bm_report(cli.load_field(path), 10).entries and built
-
-
 def test_humbert_command(tmp_path, capsys):
     field = write_field(tmp_path / "f.json")
     assert cli.run(["humbert", "--field", field, "--m", "1"]) == 0
@@ -584,14 +565,17 @@ def test_selfcheck_suite_layout():
 
 
 def test_selfcheck_reports_route_disagreement(monkeypatch, capsys):
-    real = selfcheck.bm_report
+    real = selfcheck.report_rows
 
     def skewed(field, m):
-        rep = real(field, m)
-        bumped = [BmEntry(e.p, e.b, e.route_a + 1, e.route_b, e.per_n) for e in rep.entries]
-        return BmReport(rep.field, rep.m, tuple(bumped), rep.flags)
+        rows = real(field, m)
+        rows["entries"] = [
+            [p, b, None if route_b is None else route_b + 1, flat]
+            for p, b, route_b, flat in rows["entries"]
+        ]
+        return rows
 
-    monkeypatch.setattr(selfcheck, "bm_report", skewed)
+    monkeypatch.setattr(selfcheck, "report_rows", skewed)
     assert cli.run(["selfcheck", "--suite", "small"]) == 3
     out = capsys.readouterr()
     assert out.err == ""

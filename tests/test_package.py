@@ -14,8 +14,6 @@ import pytest
 import cmint
 from cmint import (
     BadReductionCertificate,
-    BmEntry,
-    BmReport,
     CMFieldData,
     LogCombo,
     PrimeSpot,
@@ -47,22 +45,20 @@ def test_every_lru_cache_is_bounded():
     caches = lru_caches()
     assert caches.keys() == {"cmint.cmfield._build_cached"}
     # their calls do not repeat within one command, so a memo would only keep
-    # each result alive; a field holds its spot rows over 2 and D and each
-    # route fetches another prime's once per scan, `_root_for_spot`'s lifted
-    # roots gave way to the spots' labels, and `report_rows` hands its one
-    # factor table to the scans
+    # each result alive; a field holds its spot rows over 2 and D, each route
+    # fetches another prime's once per scan, and `report_rows` hands its one
+    # factor table to the scans. Each name must exist, or its check is empty
     for name in (
         "bm._factor_table",
         "bm._route_a",
         "bm._route_b",
-        "bm.support_primes",
-        "bm.bm_report",
         "cmfield._dyadic_squares",
         "cmfield.spot_kinds",
         "numutil.factorize",
-        "quadfield._root_for_spot",
         "quadfield._splitting",
     ):
+        module, attr = name.split(".")
+        assert callable(getattr(importlib.import_module(f"cmint.{module}"), attr, None)), name
         assert f"cmint.{name}" not in caches
     unbounded = sorted(n for n, fn in caches.items() if fn.cache_parameters()["maxsize"] is None)
     assert unbounded == []
@@ -137,7 +133,6 @@ def value_cases():
     F = QuadField(13)
     f = build_cm_field(13, QuadElem(F, -21, -2))
     field_args = (f.D, f.delta, f.dtilde, f.delta_tilde, f.rel_diff, f.w_k, f.mode)
-    entry = BmEntry(2, 1, 1, None, ((3, 1),))
     half = Fraction(1, 2)
     return [
         (QuadField, (13,), (13,), "QuadField(disc=13)"),
@@ -153,10 +148,6 @@ def value_cases():
          "LogCombo(coeffs=((2, Fraction(1, 2)),))"),
         (TMatrix, ((7852, -1248, 208), 52, 1, 5, 1), ((7852, -1248, 208), 52, 1, 5, 1),
          "TMatrix(num=(7852, -1248, 208), q=52, m=1, n=5, mu=1)"),
-        (BmEntry, (2, 1, 1, None, ((3, 1),)), (2, 1, 1, None, ((3, 1),)),
-         "BmEntry(p=2, b=1, route_a=1, route_b=None, per_n=((3, 1),))"),
-        (BmReport, (f, 1, (entry,), ()), (f, 1, (entry,), ()),
-         f"BmReport(field={FIELD_REPR}, m=1, entries=({entry!r},), flags=())"),
         (BadReductionCertificate, (f, (1,), ((2, 1),), (2,), half),
          (f, (1,), ((2, 1),), (2,), half),
          f"BadReductionCertificate(field={FIELD_REPR}, indices=(1,), per_prime=((2, 1),), "
@@ -166,7 +157,7 @@ def value_cases():
 
 def test_value_classes_keep_dataclass_semantics():
     cases = value_cases()
-    assert len({cls for cls, *_ in cases}) == 9
+    assert len({cls for cls, *_ in cases}) == 7
     for i, (cls, args, values, text) in enumerate(cases):
         obj, again = cls(*args), cls(*args)
         assert obj is not again and obj == again and not obj != again
@@ -303,7 +294,8 @@ def test_package_names_load_on_first_use():
     assert fresh_python("import cmint")[2] == {"cmint"}
     code = "from cmint import *; import cmint; print(all(n in globals() for n in cmint.__all__))"
     assert fresh_python(code)[1] == b"True\n"
-    assert len(cmint.__all__) == len(set(cmint.__all__)) == 25
+    assert len(cmint.__all__) == len(set(cmint.__all__)) == 23
+    assert "report_rows" in cmint.__all__
     assert set(cmint.__all__) <= set(dir(cmint))
     for name in cmint.__all__:
         value = getattr(cmint, name)
@@ -311,3 +303,15 @@ def test_package_names_load_on_first_use():
     assert cmint.__version__ == "0.1.0"
     with pytest.raises(AttributeError, match=r"^module 'cmint' has no attribute 'nope'$"):
         cmint.nope
+
+
+def test_readme_library_example_runs_as_printed(capsys):
+    # README's python block is the library's promise: each line it prints is
+    # the `# …` comment of the print that made it
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as f:
+        code = f.read().split("```python\n", 1)[1].split("```", 1)[0]
+    want = [line.split("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == want
+    assert want == ["{2: Fraction(1, 1)}", "[[2, 2, 2, [-1, 2]]]"]
