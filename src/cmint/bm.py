@@ -13,13 +13,16 @@ of n with 4D | m²D̃ − n² (`_roots_mod`). The routes share only that range o
 and the m's factor table (`_factor_table`), which factors every
 (m²D̃ − n²)/4D with one sieve; `report_rows` builds it once per m and hands
 it to route (a), the support primes and route (b). Whenever route (b) applies,
-the two are compared and a mismatch is a hard error. Route (b) multiplies
-the factors of each matrix T once and serves every prime from that product.
+the two are compared and a mismatch is a hard error. Route (b) reads each
+matrix T as its integer numerators over q, evaluates each local factor with
+one call and one symbol, multiplies the factors of T once and serves every
+prime from that product.
 
 No spot row is memoized: route (a) reads the rows over 2 and D off the field
-and fetches those over the other primes of m·D̃·norm(Δ̃) with `spot_kinds`
-once per scan, and route (b) evaluates its factor at each l | m with t_l = 0,
-which no T changes, once per scan.
+and decides membership there once per residue class of n in a scan, and
+fetches the rows over the other primes of m·D̃·norm(Δ̃) with `spot_kinds`
+once per scan; route (b) evaluates kronecker(D, l) and its factor at t_l = 0,
+which no T changes, once per l | m in a scan.
 
 `report_rows` returns the report as rows, the one shape of a report: the
 cache stores it, the CLI prints from it and the library reads it.
@@ -32,16 +35,18 @@ from math import gcd, isqrt
 
 from .cmfield import CMFieldData, spot_kinds
 from .errors import InputError, InternalConsistencyError
-from .localdensity import _reflex_split_factor, b_l_factors
+from .localdensity import _local_factors, _reflex_split_factor
 from .numutil import (
     TRIAL_LIMIT,
     is_squarefree,
+    kronecker,
+    ord_p,
     pollard_factorize,
     primes_up_to,
     sqrts_mod_prime,
 )
 from .quadfield import split_ord
-from .tmatrix import admissible_matrices
+from .tmatrix import _admissible_numerators
 
 
 def _roots_mod(a: int, div: int) -> list[int]:
@@ -66,11 +71,12 @@ def _factor_table(m2dt: int, div: int) -> dict[int, tuple[tuple[int, int], ...]]
     One polynomial-value sieve over the n in the classes of `_roots_mod`. A
     prime l ∤ div divides the quotient exactly when n ≡ ±√m2dt (mod l), which
     within the class n ≡ r (mod div) is one class of n // div mod l (CRT), so
-    it is divided out along an arithmetic progression of the list. A prime
-    l | div is tried on every value. Every prime up to the bound is divided out, so a
-    cofactor below (bound + 1)² is 1 or prime; a larger one needs the bound
-    at its limit, so it has no prime factor up to the limit and goes straight
-    to `pollard_factorize`.
+    it is divided out along an arithmetic progression of the list, every
+    member of which it divides. A prime l | div is tried on every value, and
+    divided out of those it divides. Every prime up to the bound is divided
+    out, so a cofactor below (bound + 1)² is 1 or prime; a larger one needs
+    the bound at its limit, so it has no prime factor up to the limit and
+    goes straight to `pollard_factorize`.
     """
     roots = _roots_mod(m2dt, div)
     nmax = isqrt(m2dt - 1)
@@ -83,20 +89,22 @@ def _factor_table(m2dt: int, div: int) -> dict[int, tuple[tuple[int, int], ...]]
     bound = min(isqrt(m2dt // div), TRIAL_LIMIT)
     for l in primes_up_to(bound):
         if div % l == 0:
-            starts, step = (0,), 1
+            runs = [[i for i, c in enumerate(rest) if c % l == 0]]
         else:
             sqrts = sqrts_mod_prime(m2dt, l)
             if not sqrts:
                 continue
             inv = pow(div, -1, l)
-            starts = [(s - r) * inv % l * width + j for j, r in enumerate(roots) for s in sqrts]
             step = l * width
-        for start in starts:
-            for i in range(start, size, step):
-                c = rest[i]
-                if c % l:
-                    continue  # only when l | div
-                c //= l
+            runs = [
+                range((s - r) * inv % l * width + j, size, step)
+                for j, r in enumerate(roots)
+                for s in sqrts
+            ]
+        # l divides every value the runs reach
+        for run in runs:
+            for i in run:
+                c = rest[i] // l
                 e = 1
                 while c % l == 0:
                     c //= l
@@ -112,12 +120,16 @@ def _factor_table(m2dt: int, div: int) -> dict[int, tuple[tuple[int, int], ...]]
     return dict(zip(ns, map(tuple, facs)))
 
 
-def _spot_exps(vec: list, n: int, m: int, l: int, vl: int, rows) -> bool:
-    """Append (l, kind in K̃, exponent, e_𝔡, f) for each spot over l where t·𝔡,
-    t = (n + m√D̃)/2D, has a nonzero exponent; False if one is negative. Needs
-    vl = v_l(m²D̃ − n²) and the rows of `spot_kinds(field, l)`. The two split
-    spots' valuations add up to vl, so the second is vl minus the first."""
+def _spot_exps(spots: list, n: int, m: int, l: int, vl: int, rows) -> tuple[int, int] | None:
+    """Append (l, kind in K̃, exponent, e_𝔡, f) for each non-split spot over l
+    where t·𝔡, t = (n + m√D̃)/2D, has a nonzero exponent, and return the
+    product of exponent + 1 over the split spots and the count of odd inert
+    exponents; None if an exponent is negative. Needs vl = v_l(m²D̃ − n²) and
+    the rows of `spot_kinds(field, l)`. The two split spots' valuations add
+    up to vl, so the second is vl minus the first."""
     v = None
+    split_prod = 1
+    odd_inert = 0
     for spot, kind, kind_f, shift, rel, f, _ in rows:
         if not vl:
             v = 0
@@ -131,10 +143,14 @@ def _spot_exps(vec: list, n: int, m: int, l: int, vl: int, rows) -> bool:
             v = split_ord(n, m, spot, vl) if v is None else vl - v
         exp = v + shift
         if exp < 0:
-            return False
-        if exp:
-            vec.append((l, kind, exp, rel, f))
-    return True
+            return None
+        if kind == "split":
+            split_prod *= exp + 1
+        elif exp:
+            if kind == "inert":
+                odd_inert += exp & 1
+            spots.append((l, kind, exp, rel, f))
+    return split_prod, odd_inert
 
 
 def _unit_spot_kind(x: int, y: int, n: int, m: int, l: int) -> str:
@@ -184,6 +200,12 @@ def _route_a(
     the scan walks only the class of n that can pass at D (`_candidate_n`).
     Only for the n that pass are the entry's other primes read.
 
+    At l = 2 and l = D, `_spot_exps` reads n only through v_l and `split_ord`,
+    which strips g <= v_l(m) common factors l from (n, m) and then reads
+    n/l^g mod l, or mod 4 at l = 2. So the membership and the spots' entries
+    there are those of the class (v_2, v_D, n mod 2^(v_2(m)+2),
+    n mod D^(v_D(m)+1)), and each class met is checked once per scan.
+
     An odd l ∤ D·m·D̃·norm(Δ̃) splits in F̃, and n + m√D̃ has all of v_l at its
     spot √D̃ ≡ −n/m, where Δ̃ is a unit: that spot's kind is one symbol (`_unit_spot_kind`).
     The rows over 2 and D are the field's; those over the other primes of
@@ -195,7 +217,9 @@ def _route_a(
     rows_2, rows_d = field.rows_2, field.rows_d
     x, y = field.delta_tilde.x, field.delta_tilde.y
     special = m * field.dtilde * (x * x - y * y * field.dtilde)  # its primes read rows
+    mod_2, mod_d = 4 * (m & -m), D ** (ord_p(m, D) + 1)  # 2^(v_2(m)+2), D^(v_D(m)+1)
     rows_of: dict[int, tuple] = {}
+    classes = {}  # (v_2, v_D, n mod mod_2, n mod mod_d): None, or _spot_exps at 2 and D
     terms: dict[int, list[tuple[int, int]]] = {}
     neg, dual = set(), []  # |n| of the members n < 0; the n > 0 whose −n is one too
     for n in _candidate_n(field, m, table):
@@ -206,39 +230,48 @@ def _route_a(
                 v2 = e
             elif l == D:
                 vd = e
-        vec = []
-        # v_l(m²D̃ − n²) is the entry's v_l plus v_l(4D): 2 at l = 2, 1 at l = D
-        if not (
-            _spot_exps(vec, n, m, 2, v2 + 2, rows_2) and _spot_exps(vec, n, m, D, vd + 1, rows_d)
-        ):
+        key = (v2, vd, n % mod_2, n % mod_d)
+        try:
+            known = classes[key]
+        except KeyError:
+            spots = []
+            # v_l(m²D̃ − n²) is the entry's v_l plus v_l(4D): 2 at l = 2, 1 at l = D
+            at_2 = _spot_exps(spots, n, m, 2, v2 + 2, rows_2)
+            at_d = at_2 and _spot_exps(spots, n, m, D, vd + 1, rows_d)
+            known = classes[key] = at_d and (at_2[0] * at_d[0], at_2[1] + at_d[1], spots)
+        if not known:
             continue
-        for l, vl in fac:
-            if l == 2 or l == D:
-                continue
-            if special % l:
-                vec.append((l, _unit_spot_kind(x, y, n, m, l), vl, 0, 1))
-                continue
-            rows = rows_of.get(l)
-            if rows is None:
-                rows = rows_of[l] = spot_kinds(field, l)
-            _spot_exps(vec, n, m, l, vl, rows)
         if n < 0:
             neg.add(-n)
         elif n in neg and n % D:
             dual.append(n)
-        # ρ of the vector with one non-split spot's exponent lowered by one:
-        # the product of (e + 1) over split spots, 0 if an inert e is odd. So an
-        # n has one inert term or only ramified ones, which lie over the primes
-        # of the different, met first and in order
-        split_prod, odd_inert = 1, 0
-        for _, kind, exp, _, _ in vec:
-            if kind == "split":
-                split_prod *= exp + 1
-            elif kind == "inert":
-                odd_inert += exp % 2
-        for p, kind, exp, rel, f in vec:
-            if kind == "split":
+        # ρ of the spot vector with one non-split spot's exponent lowered by
+        # one is the product of (e + 1) over split spots, 0 if an inert e is
+        # odd; only that product, the count of odd inert exponents and the
+        # non-split spots are kept
+        split_prod, odd_inert, spots = known[0], known[1], list(known[2])
+        for l, vl in fac:
+            if l == 2 or l == D:
                 continue
+            if special % l:
+                if _unit_spot_kind(x, y, n, m, l) == "split":
+                    split_prod *= vl + 1
+                else:
+                    odd_inert += vl & 1
+                    spots.append((l, "inert", vl, 0, 1))
+                continue
+            rows = rows_of.get(l)
+            if rows is None:
+                rows = rows_of[l] = spot_kinds(field, l)
+            prod, odd = _spot_exps(spots, n, m, l, vl, rows)
+            split_prod *= prod
+            odd_inert += odd
+        # so an n has one inert term or only ramified ones, which lie over the
+        # primes of the different, met first and in order, and two odd inert
+        # exponents leave none
+        if odd_inert > 1:
+            continue
+        for p, kind, exp, rel, f in spots:
             odd = odd_inert  # odd inert exponents once this one is lowered
             if kind == "inert":
                 odd += -1 if exp % 2 else 1
@@ -266,26 +299,38 @@ def _route_b(field: CMFieldData, m: int, table: dict) -> dict[int, int]:
     T contributes to each prime p ∤ m of the quotient (e_p + 1) times its
     local factor at l = p times the factors at the other l | quot, so each
     factor is evaluated once per (T, l) as the pair (value if l = p, value if
-    l ≠ p). The values if l ≠ p are multiplied once per T, their zeros
-    counted apart: with none, p's term divides p's own value out of the
-    product; with one, at l₀, only p = l₀ can have a nonzero term; with more,
-    every term is 0. A p ∤ m missing from the result has b_m(p) = 0.
+    l ≠ p), from T's numerators over q. The values if l ≠ p are multiplied
+    once per T, their zeros counted apart: with none, p's term divides p's own
+    value out of the product; with one, at l₀, only p = l₀ can have a nonzero
+    term; with more, every term is 0. A p ∤ m missing from the result has
+    b_m(p) = 0.
 
-    t_l = 0 only at l | m, where the factor depends on no T: it is evaluated
-    once per l in the scan.
+    At l | m the factor reads kronecker(D, l), and at t_l = 0 it depends on
+    no T: both are evaluated once per l in the scan.
     """
     totals: dict[int, int] = {}
-    at_m: dict[int, tuple[int, int]] = {}  # the factor at each l | m with t_l = 0
+    at_m: dict[int, tuple[int, tuple[int, int]]] = {}  # l | m: (D | l), the factor at t_l = 0
     for n, fac in table.items():
-        if n == 0 or not any(m % p for p, _ in fac):
+        # a p ∤ m of the quotient is needed; fac ascends, so its last prime
+        # settles most n
+        if n == 0 or not (fac and m % fac[-1][0] or any(m % p for p, _ in fac)):
             continue
+        # (l, t_l, kronecker(D, l) or None for l ∤ m, the factor if t_l = 0 at l | m);
         # t_l = v_l(quot) − 2·v_l(m), and v_l(m) is 0 or 1 for squarefree m
-        t_ls = [(l, e if m % l else e - 2) for l, e in fac]
-        for l, t_l in t_ls:
-            if not t_l and l not in at_m:
-                at_m[l] = (_reflex_split_factor(field, l),) * 2
-        for T in admissible_matrices(field, m, n):
-            factors = [at_m[l] if not t_l else b_l_factors(field, T, l, t_l) for l, t_l in t_ls]
+        t_ls = []
+        for l, e in fac:
+            if m % l:
+                t_ls.append((l, e, None, None))
+                continue
+            if l not in at_m:
+                at_m[l] = (kronecker(field.D, l), (_reflex_split_factor(field, l),) * 2)
+            kd, fixed = at_m[l]
+            t_ls.append((l, e - 2, kd, None if e > 2 else fixed))
+        q, signs = _admissible_numerators(field, m, n)
+        for _, (a, b, c) in signs:
+            factors = [
+                fixed or _local_factors(a, b, c, q, l, t_l, kd) for l, t_l, kd, fixed in t_ls
+            ]
             off, zero_at = 1, []
             for i, (_, v) in enumerate(factors):
                 if v:

@@ -386,26 +386,61 @@ def test_route_a_matches_per_spot_scan_with_the_different_moved_at_d():
     assert nonzero >= 6
 
 
+def membership_class(field, m, n, fac):
+    """The residue class by which route A decides n's membership at 2 and D."""
+    D = field.D
+    v = dict(fac)
+    return (v.get(2, 0), v.get(D, 0), n % 2 ** (ord_p(m, 2) + 2), n % D ** (ord_p(m, D) + 1))
+
+
 def test_route_a_walks_one_class_at_d(monkeypatch):
     # on the benchmark field one spot over D = 13 has a negative shift, so only
-    # the n in its class mod 13 reach the check at 13, and they all pass it;
-    # walking every admissible n made 14,771 checks there over m <= 100
+    # the n in its class mod 13 are walked, and they all pass the check at 13;
+    # walking every admissible n made 14,771 checks there over m <= 100. Route
+    # A checks each residue class of `membership_class` once per scan, so
+    # `_spot_exps` runs at 13 once per class met, not once per walked n
     f = build_cm_field(13, QuadElem(QuadField(13), -21, -2))
-    real = bm._spot_exps
-    checks = passed = 0
+    real_exps, real_walk = bm._spot_exps, bm._candidate_n
+    walked, checked = [], []
 
     def counting(vec, n, m, l, vl, rows):
-        nonlocal checks, passed
-        ok = real(vec, n, m, l, vl, rows)
         if l == 13:
-            checks += 1
-            passed += ok
-        return ok
+            checked.append((m, n))
+        return real_exps(vec, n, m, l, vl, rows)
+
+    def walking(field, m, table):
+        ns = real_walk(field, m, table)
+        walked.extend((m, n) for n in ns)
+        return ns
 
     monkeypatch.setattr(bm, "_spot_exps", counting)
-    for m in range(1, 101):
-        _route_a(f, m, table_of(f, m))
-    assert passed == 7662 and passed <= checks < 14771
+    monkeypatch.setattr(bm, "_candidate_n", walking)
+    tables = {m: table_of(f, m) for m in range(1, 101)}
+    for m, table in tables.items():
+        _route_a(f, m, table)
+    monkeypatch.undo()
+    assert len(walked) == 7662
+    for m, n in walked:
+        fac = tables[m][abs(n)]
+        vd = dict(fac).get(13, 0)
+        assert bm._spot_exps([], n, m, 13, vd + 1, f.rows_d), (m, n)
+    keys = {(m, membership_class(f, m, n, tables[m][abs(n)])) for m, n in walked}
+    seen = [(m, membership_class(f, m, n, tables[m][abs(n)])) for m, n in checked]
+    assert len(seen) == len(set(seen)) <= len(keys) < 2000
+
+
+def test_route_a_matches_per_spot_scan_on_the_worked_field():
+    # D̃ = 41: both 2 and D = 5 split in F̃, so `split_ord` reads n mod 2^(v_2(m)+2)
+    # and mod 5^(v_5(m)+1) there; m with v_2(m) or v_5(m) large reach the
+    # classes where a coarser residue would merge n of different membership
+    f = worked_field()
+    assert f.dtilde == 41 and all(splitting(f.reflex, l)[0].kind == "split" for l in (2, 5))
+    nonzero = 0
+    for m in (16, 25, 32, 50, 64, 100, 125, 200, 400):
+        want = per_spot_route_a(f, m)
+        assert _route_a(f, m, table_of(f, m)) == want, m
+        nonzero += bool(want[0])
+    assert nonzero == 8  # m = 32 has no term
 
 
 def test_route_a_matches_per_spot_scan_on_the_benchmark_field():
@@ -681,7 +716,15 @@ def code_names(code):
 
 
 # the names each route must not reach, as in test_routes_stay_independent
-ROUTE_A_FORBIDDEN = {"_route_b", "b_l_factors", "admissible_matrices", "t_matrix", "alpha_l"}
+ROUTE_A_FORBIDDEN = {
+    "_route_b",
+    "b_l_factors",
+    "admissible_matrices",
+    "t_matrix",
+    "alpha_l",
+    "_admissible_numerators",
+    "_local_factors",
+}
 ROUTE_B_FORBIDDEN = {"_route_a", "ord_at", "rho", "splitting"}
 
 
@@ -719,7 +762,15 @@ def test_route_helpers_stay_independent():
 def test_routes_stay_independent():
     # the routes cross-check each other only while neither calls into the other's machinery
     a = code_names(bm._route_a.__code__)
-    assert not a & {"_route_b", "b_l_factors", "admissible_matrices", "t_matrix", "alpha_l"}
+    assert not a & {
+        "_route_b",
+        "b_l_factors",
+        "admissible_matrices",
+        "t_matrix",
+        "alpha_l",
+        "_admissible_numerators",
+        "_local_factors",
+    }
     b = code_names(bm._route_b.__code__)
     assert not b & {"_route_a", "ord_at", "rho", "splitting"}
 

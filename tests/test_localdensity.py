@@ -4,7 +4,7 @@ from math import gcd, isqrt, lcm
 
 import pytest
 
-from cmint import localdensity
+from cmint import bm, localdensity
 from cmint.bm import _factor_table, _route_b
 from cmint.cmfield import build_cm_field
 from cmint.errors import InputError, InternalConsistencyError
@@ -89,48 +89,87 @@ def fraction_alpha(T, l):
     return u.numerator * pow(u.denominator, -1, modulus) % modulus
 
 
-def test_route_b_alpha_matches_public_alpha(monkeypatch):
-    # every (T, l) whose unit route B reads, on every fifth sweep field with m <= 30
-    unit = localdensity._alpha_unit
-    visited = []
+def route_b_kernel_calls(monkeypatch, fields):
+    """Each (field, T, l, t_l, kd, value) that route B hands `_local_factors` on
+    `fields` at m <= 30, T rebuilt from the numerators and the admissible sign
+    of the n that `_admissible_numerators` gave route B just before."""
+    real_kernel, real_signs = bm._local_factors, bm._admissible_numerators
+    seen = []
+    f = m = n = q = signs = None
 
-    def recording(T, l):
-        value = unit(T, l)
-        visited.append((T, l, value))
+    def admissible(field, m_, n_):
+        nonlocal n, q, signs
+        n = n_
+        q, signs = real_signs(field, m_, n_)
+        return q, signs
+
+    def kernel(a, b, c, q_, l, t_l, kd):
+        value = real_kernel(a, b, c, q_, l, t_l, kd)
+        assert q_ == q, (f.delta, m, n, l)
+        mu = next(mu for mu, num in signs if num == (a, b, c))
+        seen.append((f, TMatrix((a, b, c), q, m, n, mu), l, t_l, kd, value))
         return value
 
-    monkeypatch.setattr(localdensity, "_alpha_unit", recording)
-    for f in sweep_fields()[::5]:
+    monkeypatch.setattr(bm, "_admissible_numerators", admissible)
+    monkeypatch.setattr(bm, "_local_factors", kernel)
+    for f in fields:
         for m in range(1, 31):
             if is_squarefree(m) and gcd(m, 2 * f.D * f.dtilde) == 1:
                 _route_b(f, m, _factor_table(m * m * f.dtilde, 4 * f.D))
     monkeypatch.undo()
-    for T, l, value in visited:
-        assert value == alpha_l(T, l) == fraction_alpha(T, l), (T, l)
-    assert len(visited) == 5539
+    return seen
+
+
+def kernel_symbol(T, l):
+    """(−α | l) as `_local_factors` reads it: its value at l = p with t_l = 1
+    and l ∤ m is (1 − (−α | l))/2."""
+    return 1 - 2 * localdensity._local_factors(*T.num, T.q, l, 1, None)[0]
+
+
+def test_route_b_alpha_matches_public_alpha(monkeypatch):
+    # every (T, l) whose unit route B reads, on every fifth sweep field with m <= 30:
+    # the unit is the public alpha, and route B's call is b_l_factors' on T
+    seen = route_b_kernel_calls(monkeypatch, sweep_fields()[::5])
+    for f, T, l, t_l, kd, value in seen:
+        alpha = alpha_l(T, l)
+        assert alpha == localdensity._alpha_unit(T, l) == fraction_alpha(T, l), (T, l)
+        assert kernel_symbol(T, l) == kronecker(-alpha, l), (T, l)
+        assert value == b_l_factors(f, T, l, t_l), (T, l)
+        assert kd == (None if T.m % l else kronecker(f.D, l)) and t_l > 0, (T, l)
+    assert len(seen) == 5539
 
 
 def test_minus_alpha_symbol_matches_kronecker(monkeypatch):
-    # Euler's criterion at odd l and α mod 8 at l = 2 give (−α | l) for every
-    # (T, l) route B meets on the sweep fields, and for every unit mod 8
-    unit = localdensity._alpha_unit
-    visited = []
+    # one Euler's criterion on −u·q′ at odd l and u·q′ mod 8 at l = 2 give
+    # (−α | l) for every (T, l) route B meets on the sweep fields, and for every
+    # unit u and l-free denominator q′ mod 8 at l = 2
+    seen = route_b_kernel_calls(monkeypatch, sweep_fields())
+    cases = [(T, l) for _, T, l, *_ in seen]
+    for u in (1, 3, 5, 7):
+        for q0 in (1, 3, 5, 7):
+            for s in (1, 4):  # a denominator with an l-part the numerators share
+                cases.append((TMatrix((4 * s, 2 * s, u * s), q0 * s, 1, 1, 1), 2))
+    for T, l in cases:
+        assert kernel_symbol(T, l) == kronecker(-alpha_l(T, l), l), (T, l)
+    assert {alpha_l(T, 2) for T, l in cases if l == 2} == {1, 3, 5, 7}
+    assert len(seen) == 16140 and {l for _, l in cases} >= {2, 3, 5, 7, 11}
 
-    def recording(T, l):
-        value = unit(T, l)
-        visited.append((l, value))
-        return value
 
-    monkeypatch.setattr(localdensity, "_alpha_unit", recording)
-    for f in sweep_fields():
-        for m in range(1, 31):
-            if is_squarefree(m) and gcd(m, 2 * f.D * f.dtilde) == 1:
-                _route_b(f, m, _factor_table(m * m * f.dtilde, 4 * f.D))
-    monkeypatch.undo()
-    pairs = set(visited) | {(2, u) for u in (1, 3, 5, 7)}
-    for l, alpha in pairs:
-        assert localdensity._minus_alpha_symbol(alpha, l) == kronecker(-alpha, l), (l, alpha)
-    assert len(visited) == 16140 and {l for l, _ in pairs} >= {2, 3, 5, 7, 11}
+def test_local_factors_keep_their_checks():
+    # the kernel route B calls keeps the checks of _alpha_unit and b_l_factors
+    kernel = localdensity._local_factors
+    T = t_matrix(worked_field(), 1, 1, 1)  # [[24, -8], [-8, 3]]
+    assert kernel(24, -8, 3, 1, 3, 1, None) == b_l_factors(worked_field(), T, 3, 1)
+    with pytest.raises(InternalConsistencyError, match="not integral at 3"):
+        kernel(1, 0, 3, 3, 3, 1, None)  # a/q = 1/3
+    with pytest.raises(InternalConsistencyError, match="no unit represented mod 3"):
+        kernel(3, 0, 3, 1, 3, 1, None)
+    with pytest.raises(InternalConsistencyError, match="no unit represented mod 8"):
+        kernel(2, 1, 2, 1, 2, 1, None)
+    with pytest.raises(InputError, match="nonnegative"):
+        kernel(24, -8, 3, 1, 3, -1, None)
+    with pytest.raises(InternalConsistencyError, match="unramified"):
+        kernel(24, -8, 3, 1, 3, 1, 0)
 
 
 def test_alpha_rejects():

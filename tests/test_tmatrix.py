@@ -1,12 +1,13 @@
 from fractions import Fraction
 from math import gcd, isqrt
+from types import SimpleNamespace
 
 import pytest
 
-from cmint.errors import InputError
+from cmint.errors import InputError, InternalConsistencyError
 from cmint.numutil import factorize, is_squarefree, ord_p
 from cmint.selfcheck import cyclotomic_field, sweep_fields, worked_field
-from cmint.tmatrix import admissible_matrices, t_matrix
+from cmint.tmatrix import _admissible_numerators, admissible_matrices, t_matrix
 
 
 def entries(T):
@@ -48,6 +49,28 @@ def test_input_validation():
         t_matrix(f, 1, 7, 1)  # n² ≥ m²·D̃
     with pytest.raises(InputError):
         t_matrix(f, 1, 2, 1)  # D does not divide m²D̃ − n²
+
+
+def test_admissible_numerators_keep_their_checks():
+    # route B's numerators and every TMatrix come from one helper, which checks
+    # (m, n), the determinant identity and both sign rules
+    f = worked_field()
+    assert _admissible_numerators(f, 1, 1) == (40, ((1, (960, -320, 120)),))  # [[24, -8], [-8, 3]]
+    for m, n in ((0, 1), (1, 7), (1, 2)):
+        with pytest.raises(InputError):
+            _admissible_numerators(f, m, n)
+    # a D̃ off by D keeps D | m²D̃ − n² but breaks det T = (m²D̃ − n²)/(Dm²)
+    g = SimpleNamespace(D=f.D, delta=f.delta, dtilde=f.dtilde + f.D)
+    with pytest.raises(InternalConsistencyError, match="determinant identity"):
+        _admissible_numerators(g, 1, 1)
+    # Δ = 7 − 2√5 and 15 − 4√5 are not totally negative: at (1, 2) (D ∤ n)
+    # and at (1, 5) (D | n) no sign is admissible
+    for x, y, n, rule in ((7, -2, 2, "exactly one"), (15, -4, 5, "both signs")):
+        g = SimpleNamespace(D=5, delta=SimpleNamespace(x=x, y=y, den=1), dtilde=x * x - 5 * y * y)
+        with pytest.raises(InternalConsistencyError, match=rule):
+            admissible_matrices(g, 1, n)
+        with pytest.raises(InternalConsistencyError, match=rule):
+            t_matrix(g, 1, n, 1)
 
 
 def test_rescaling_identity():
